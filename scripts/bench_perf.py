@@ -216,7 +216,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="CI-sized traces (~10x shorter)")
     parser.add_argument("--jobs", type=int, default=0,
                         help="workers for the parallel sweep row "
-                             "(default: max(4, cpu_count))")
+                             "(default: cpu_count)")
     parser.add_argument("--output", default=DEFAULT_OUTPUT,
                         help=f"scorecard path (default {DEFAULT_OUTPUT})")
     parser.add_argument("--min-throughput", type=float, default=3000.0,
@@ -253,7 +253,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     num_ops = 4_000 if args.quick else 30_000
     sweep_ops = 1_500 if args.quick else 10_000
-    jobs = args.jobs if args.jobs > 0 else max(4, os.cpu_count() or 1)
+    jobs = args.jobs if args.jobs > 0 else os.cpu_count() or 1
 
     profiler = SelfProfiler()
     rows = run_benchmarks(num_ops, sweep_ops, jobs, profiler)

@@ -231,25 +231,14 @@ def _result_rows(result: SimulationResult) -> List[List[str]]:
 def _run_one(config: SystemConfig, args: argparse.Namespace,
              recorder: object = None) -> SimulationResult:
     """One simulation of the run command's workload (profile or trace file)."""
-    from repro.fastsim import validate_engine
+    from repro.sim.runner import _dispatch_cell
 
     engine = getattr(args, "engine", "oracle")
-    validate_engine(engine)
     if args.workload.endswith((".jsonl", ".bin")):
-        from repro.sim.simulator import Simulator
-
-        trace = read_trace_file(args.workload)
-        if engine == "fast":
-            from repro.fastsim import ColumnarTrace, FastSimulator
-
-            fast = FastSimulator(config, workload=args.workload,
-                                 temperature_c=args.temperature,
-                                 seed=args.seed, recorder=recorder)
-            return fast.run(ColumnarTrace(trace))
-        simulator = Simulator(config, workload=args.workload,
-                              temperature_c=args.temperature, seed=args.seed,
-                              recorder=recorder)
-        return simulator.run(trace)
+        return _dispatch_cell(config, args.workload, seed=args.seed,
+                              temperature_c=args.temperature,
+                              recorder=recorder, engine=engine,
+                              ops=read_trace_file(args.workload))[0]
     return run_workload(config, args.workload, args.ops, seed=args.seed,
                         temperature_c=args.temperature, recorder=recorder,
                         engine=engine)

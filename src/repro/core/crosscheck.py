@@ -154,19 +154,14 @@ def crosscheck_engines(config: Any, profile_name: str, num_ops: int,
     not a lab setup.  Returns the comparison; use
     :func:`verify_engines` to turn divergence into an exception.
     """
-    from repro.fastsim import FastSimulator, shared_columnar_store
-    from repro.sim.runner import run_workload
+    from repro.sim.runner import _dispatch_cell, run_workload
 
     oracle = run_workload(config, profile_name, num_ops, seed=seed,
                           temperature_c=temperature_c,
                           warmup_ops=warmup_ops)
-    kwargs = {} if temperature_c is None else {"temperature_c": temperature_c}
-    fast = FastSimulator(config, workload=profile_name, seed=seed, **kwargs)
-    warm_trace, measured_trace = shared_columnar_store().traces(
-        profile_name, num_ops, seed=seed, warmup_ops=warmup_ops)
-    if warmup_ops:
-        fast.warm_up(warm_trace)
-    result = fast.run(measured_trace)
+    result, telemetry = _dispatch_cell(
+        config, profile_name, num_ops, seed=seed, temperature_c=temperature_c,
+        warmup_ops=warmup_ops, engine="fast")
 
     oracle_json = dataclasses.asdict(oracle)
     fast_json = dataclasses.asdict(result)
@@ -181,7 +176,7 @@ def crosscheck_engines(config: Any, profile_name: str, num_ops: int,
         oracle_digest=result_digest(oracle),
         fast_digest=result_digest(result),
         diverging_fields=diverging,
-        fallback_reasons=tuple(fast.fallback_reasons))
+        fallback_reasons=tuple(telemetry["fallback_reasons"]))
 
 
 def verify_engines(config: Any, profile_name: str, num_ops: int,

@@ -23,7 +23,6 @@ architecture and the cache-invalidation rules.
 from repro.exec.cache import DEFAULT_CACHE_DIR, ResultCache, result_from_dict, result_to_dict
 from repro.exec.engine import SweepRunner
 from repro.exec.jobspec import JobSpec
-from repro.exec.tracestore import TraceStore
 from repro.exec.version import simulation_version
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "JobSpec",
     "ResultCache",
     "SweepRunner",
-    "TraceStore",
     "result_from_dict",
     "result_to_dict",
     "simulation_version",

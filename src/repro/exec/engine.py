@@ -6,13 +6,12 @@ cells and returns their results **in input order**, built in three steps:
 1. **Cache probe** — every distinct spec is looked up in the
    :class:`~repro.exec.cache.ResultCache` (when one is attached); hits
    skip simulation entirely.
-2. **Execution** — cache misses run either inline (``jobs=1``, sharing
-   one :class:`~repro.exec.tracestore.TraceStore` so identical traces are
-   generated once per process) or over a spawn-safe ``multiprocessing``
-   pool.  Workers receive plain-dict payloads (no pickled code objects),
-   rebuild the spec, and keep a module-level trace store of their own, so
-   a worker simulating several policies of one workload also generates
-   its trace once.
+2. **Execution** — cache misses run either inline (``jobs=1``) or over a
+   spawn-safe ``multiprocessing`` pool.  Workers receive plain-dict
+   payloads (no pickled code objects) and rebuild the spec.  Every
+   process memoizes traces in its own
+   :func:`~repro.fastsim.columnar.shared_columnar_store`, so a process
+   simulating several policies of one workload generates its trace once.
 3. **Deterministic merge** — results are keyed by the spec's sha256 job
    key and emitted in the caller's spec order, so sweep output is
    byte-identical at any worker count and any completion order.
@@ -37,14 +36,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ConfigError, SweepError
 from repro.exec.cache import ResultCache, result_from_dict, result_to_dict
 from repro.exec.jobspec import JobSpec
-from repro.exec.tracestore import TraceStore
 from repro.exec.version import simulation_version
 from repro.obs.sweep import NULL_SWEEP_RECORDER, NullSweepRecorder
 from repro.sim.results import SimulationResult
-
-# One trace store per pool worker, lazily built on the first task so the
-# parent never ships trace data across the process boundary.
-_WORKER_STORE: Optional[TraceStore] = None  # mapglint: declared-cache
 
 
 def _execute_payload(item: "Tuple[str, Dict[str, Any]]"  # mapglint: error-boundary
@@ -53,6 +47,10 @@ def _execute_payload(item: "Tuple[str, Dict[str, Any]]"  # mapglint: error-bound
 
     Module-level (not a closure) so it pickles under the ``spawn`` start
     method; the result travels back as a plain dict for the same reason.
+    The worker's identity and engine telemetry ride along under
+    ``__mapg_obs__``, which the parent pops before rebuilding the result,
+    so telemetry can never reach a
+    :class:`~repro.sim.results.SimulationResult`.
 
     Nothing may escape a pool worker — an uncaught exception surfaces as
     a bare re-raise at the pool join and discards every in-flight cell —
@@ -60,42 +58,16 @@ def _execute_payload(item: "Tuple[str, Dict[str, Any]]"  # mapglint: error-bound
     same key, and the parent aggregates them into one
     :class:`~repro.errors.SweepError` after the surviving cells land.
     """
-    global _WORKER_STORE
-    if _WORKER_STORE is None:
-        _WORKER_STORE = TraceStore()
-    key, payload = item
-    try:
-        result = JobSpec.from_payload(payload).execute(
-            trace_store=_WORKER_STORE)
-    except Exception as exc:
-        return key, {"__mapg_error__": f"{type(exc).__name__}: {exc}"}
-    return key, result_to_dict(result)
-
-
-def _execute_payload_observed(item: "Tuple[str, Dict[str, Any]]"  # mapglint: error-boundary
-                              ) -> "Tuple[str, Dict[str, Any]]":
-    """Telemetry variant of :func:`_execute_payload`: same execution, plus
-    the worker's identity and engine telemetry riding back under
-    ``__mapg_obs__`` — a plain dict, so the payload stays
-    PAR01-picklable.  The parent pops the key before rebuilding the
-    result, so telemetry can never reach a
-    :class:`~repro.sim.results.SimulationResult`; it exists only so the
-    sweep manifest can attribute cells to workers (utilization) and to
-    engines (fast-path coverage with fallback reasons).
-    """
-    global _WORKER_STORE
-    if _WORKER_STORE is None:
-        _WORKER_STORE = TraceStore()
     key, payload = item
     obs: Dict[str, Any] = {"worker": os.getpid()}
     try:
         result, telemetry = JobSpec.from_payload(payload) \
-            .execute_with_telemetry(trace_store=_WORKER_STORE)
+            .execute_with_telemetry()
     except Exception as exc:
         return key, {"__mapg_error__": f"{type(exc).__name__}: {exc}",
                      "__mapg_obs__": obs}
     obs["engine"] = telemetry["engine"]
-    obs["fallback_reasons"] = list(telemetry["fallback_reasons"])
+    obs["fallback_reasons"] = telemetry["fallback_reasons"]
     out = result_to_dict(result)
     out["__mapg_obs__"] = obs
     return key, out
@@ -110,15 +82,11 @@ class SweepRunner:
     """
 
     def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None,
-                 mp_start_method: str = "spawn",
-                 trace_store: Optional[TraceStore] = None,
                  recorder: Optional[NullSweepRecorder] = None) -> None:
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.cache = cache
-        self.mp_start_method = mp_start_method
-        self.trace_store = trace_store if trace_store is not None else TraceStore()
         self._obs = recorder if recorder is not None else NULL_SWEEP_RECORDER
         self.executed = 0
         self.cache_hits = 0
@@ -160,7 +128,7 @@ class SweepRunner:
         self.cache_hits += len(results)
 
         # Deterministic dispatch order: cells sharing a trace first (so the
-        # serial path's LRU trace store never thrashes), content key last —
+        # LRU trace store never thrashes), content key last —
         # the work list is identical however the caller ordered the sweep.
         missing = sorted(
             ((key, spec) for key, spec in unique.items()
@@ -170,25 +138,21 @@ class SweepRunner:
         failures: Dict[str, str] = {}
         if self.jobs > 1 and len(missing) > 1:
             payloads = [(key, spec.to_payload()) for key, spec in missing]
-            context = multiprocessing.get_context(self.mp_start_method)
+            context = multiprocessing.get_context("spawn")
             workers = min(self.jobs, len(payloads))
             if self._obs.enabled:
                 self._obs.dispatch(cells=len(payloads), workers=workers,
                                    mode="pool")
             with context.Pool(processes=workers) as pool:
-                if self._obs.enabled:
-                    # The observed worker's only extra effect over the pure
-                    # one is os.getpid() for the telemetry side channel; it
-                    # is stripped below before any result is rebuilt, so the
-                    # PROCESS effect cannot reach simulation output.
-                    result_iter = pool.imap_unordered(  # mapglint: disable=PURE01
-                        _execute_payload_observed, payloads, chunksize=1)
-                else:
-                    result_iter = pool.imap_unordered(
-                        _execute_payload, payloads, chunksize=1)
+                # The worker's only effect beyond simulation is os.getpid()
+                # for the telemetry side channel; it is stripped below
+                # before any result is rebuilt, so the PROCESS effect cannot
+                # reach simulation output.
+                result_iter = pool.imap_unordered(  # mapglint: disable=PURE01
+                    _execute_payload, payloads, chunksize=1)
                 for key, result_dict in result_iter:
-                    obs_info = result_dict.pop("__mapg_obs__", None) or {}
-                    worker_id = int(obs_info.get("worker", 0))
+                    obs_info = result_dict.pop("__mapg_obs__")
+                    worker_id = int(obs_info["worker"])
                     error = result_dict.get("__mapg_error__")
                     if error is not None:
                         failures[key] = str(error)
@@ -200,9 +164,8 @@ class SweepRunner:
                         if self._obs.enabled:
                             self._obs.cell_done(
                                 key, worker=worker_id,
-                                engine=obs_info.get("engine"),
-                                fallback_reasons=obs_info.get(
-                                    "fallback_reasons", ()))
+                                engine=obs_info["engine"],
+                                fallback_reasons=obs_info["fallback_reasons"])
         else:
             if missing and self._obs.enabled:
                 self._obs.dispatch(cells=len(missing), workers=1,
@@ -211,22 +174,13 @@ class SweepRunner:
                 if self._obs.enabled:
                     self._obs.cell_start(key)
                 try:
-                    # The telemetry variant runs the identical simulation;
-                    # the extra tuple element is observation only, so the
-                    # unobserved path keeps the plain call.
-                    if self._obs.enabled:
-                        results[key], telemetry = spec.execute_with_telemetry(
-                            trace_store=self.trace_store)
-                    else:
-                        results[key] = spec.execute(
-                            trace_store=self.trace_store)
-                        telemetry = None
+                    results[key], telemetry = spec.execute_with_telemetry()
                 except Exception as exc:
                     failures[key] = f"{type(exc).__name__}: {exc}"
                     if self._obs.enabled:
                         self._obs.cell_failed(key, failures[key])
                 else:
-                    if self._obs.enabled and telemetry is not None:
+                    if self._obs.enabled:
                         self._obs.cell_done(
                             key, engine=telemetry["engine"],
                             fallback_reasons=telemetry["fallback_reasons"])

@@ -102,74 +102,28 @@ class JobSpec:
             engine=payload.get("engine", "oracle"),
         )
 
-    def execute(self, trace_store: Optional[Any] = None) -> Any:
+    def execute(self) -> Any:
         """Run this cell and return its ``SimulationResult``.
 
-        Exactly ``run_workload`` semantics: with a
-        :class:`~repro.exec.tracestore.TraceStore` the (warmup, measured)
-        traces come memoized from the store; without one the generator is
-        streamed straight into the simulator, never materializing the op
-        list.  ``engine="fast"`` routes through the columnar batched
-        kernel (bit-identical by contract; memoized per-process in
-        :func:`~repro.fastsim.columnar.shared_columnar_store`).
+        Exactly ``run_workload`` semantics, with the (warmup, measured)
+        traces memoized per process in
+        :func:`~repro.fastsim.columnar.shared_columnar_store` for either
+        engine.  ``engine="fast"`` routes through the columnar batched
+        kernel (bit-identical by contract).
         """
-        return self.execute_with_telemetry(trace_store=trace_store)[0]
+        return self.execute_with_telemetry()[0]
 
-    def execute_with_telemetry(
-            self, trace_store: Optional[Any] = None
-    ) -> Tuple[Any, Dict[str, Any]]:
+    def execute_with_telemetry(self) -> Tuple[Any, Dict[str, Any]]:
         """:meth:`execute`, plus how the cell actually ran.
 
-        Returns ``(result, telemetry)`` where telemetry is::
-
-            {"engine": "oracle" | "fast",
-             "used_fast_path": bool,
-             "fallback_reasons": [str, ...]}
-
-        ``engine`` is the *requested* engine.  A fast-engine cell that the
-        kernel refused (see ``FastSimulator.fallback_reasons``) still runs
-        bit-identically through oracle delegation, but reports
-        ``used_fast_path=False`` and the eligibility reasons — this is the
-        ground truth the sweep recorder aggregates so a sweep manifest can
-        show how much of the grid actually took the fast path.  The result
-        object is byte-for-byte the one :meth:`execute` returns; telemetry
-        is read-only observation, never an input to the simulation.
+        Returns ``(result, telemetry)``; see
+        :func:`repro.sim.runner._dispatch_cell` for the telemetry fields.
+        It is the ground truth the sweep recorder aggregates, so a sweep
+        manifest can show how much of the grid took the fast path.
         """
-        from repro.sim.simulator import Simulator
-        from repro.workloads.profiles import get_profile
-        from repro.workloads.synthetic import SyntheticTraceGenerator
+        from repro.sim.runner import _dispatch_cell
 
-        kwargs = ({} if self.temperature_c is None
-                  else {"temperature_c": self.temperature_c})
-        if self.engine == "fast":
-            from repro.fastsim import FastSimulator, shared_columnar_store
-
-            fast = FastSimulator(self.config, workload=self.profile,
-                                 seed=self.seed, **kwargs)
-            warm_trace, measured_trace = shared_columnar_store().traces(
-                self.profile, self.num_ops, seed=self.seed,
-                warmup_ops=self.warmup_ops)
-            if self.warmup_ops:
-                fast.warm_up(warm_trace)
-            result = fast.run(measured_trace)
-            return result, {
-                "engine": "fast",
-                "used_fast_path": fast.used_fast_path,
-                "fallback_reasons": list(fast.fallback_reasons),
-            }
-        telemetry = {"engine": "oracle", "used_fast_path": False,
-                     "fallback_reasons": []}
-        simulator = Simulator(self.config, workload=self.profile,
-                              seed=self.seed, **kwargs)
-        if trace_store is not None:
-            warm_trace, measured_trace = trace_store.traces(
-                self.profile, self.num_ops, seed=self.seed,
-                warmup_ops=self.warmup_ops)
-            if self.warmup_ops:
-                simulator.warm_up(warm_trace)
-            return simulator.run(measured_trace), telemetry
-        generator = SyntheticTraceGenerator(get_profile(self.profile),
-                                            seed=self.seed)
-        if self.warmup_ops:
-            simulator.warm_up(generator.operations(self.warmup_ops))
-        return simulator.run(generator.operations(self.num_ops)), telemetry
+        return _dispatch_cell(self.config, self.profile, self.num_ops,
+                              seed=self.seed,
+                              temperature_c=self.temperature_c,
+                              warmup_ops=self.warmup_ops, engine=self.engine)

@@ -21,12 +21,16 @@ issue_width)`` **per block** (a sum of ceilings, not a ceiling of sums),
 so :meth:`ColumnarTrace.busy_cycles_for` pre-folds each interval with
 exactly that per-block ``math.ceil`` and memoizes per width.  Building a
 ``ColumnarTrace`` is a one-time linear pass; :meth:`ColumnarTrace.ops`
-reconstructs the original op stream for the oracle fallback path.
+rebuilds the original op tuple (once, memoized) for the oracle engine,
+and :meth:`ColumnarTrace.iter_ops` streams it for the kernel's one-off
+fallback cells.
 
-:class:`ColumnarTraceStore` mirrors :class:`repro.exec.TraceStore`
-exactly — one generator pass yields the warmup ops and *continues* into
-the measured ops, so the stored pair is op-for-op identical to the
-object-trace path — but memoizes columnar pairs instead of op tuples.
+:class:`ColumnarTraceStore` is the per-process trace memo of both
+engines: one generator pass yields the warmup ops and *continues* into
+the measured ops, so the stored pair is op-for-op identical to
+``run_workload``'s streamed two-call shape.  ``run_policy_comparison``
+replays one trace per policy, so the store makes trace generation scale
+with the workload count instead of the policy count.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 try:  # vectorized key precompute; the pure-python fallback is equivalent
     import numpy as _np
@@ -54,7 +58,7 @@ class ColumnarTrace:
                  "block_instructions", "block_bounds",
                  "num_memory_ops", "num_blocks", "num_ops",
                  "total_block_instructions", "_busy_by_width",
-                 "_keys_by_geometry")
+                 "_keys_by_geometry", "_ops")
 
     def __init__(self, ops: Iterable[TraceOp]) -> None:
         addresses = array("q")
@@ -94,6 +98,7 @@ class ColumnarTrace:
         self._keys_by_geometry: Dict[Tuple[int, int],
                                      Tuple[List[int], List[int],
                                            List[int]]] = {}
+        self._ops: Optional[Tuple[TraceOp, ...]] = None
 
     def busy_cycles_for(self, issue_width: int) -> array:
         """Busy cycles per interval at ``issue_width``, memoized.
@@ -150,22 +155,35 @@ class ColumnarTrace:
         self._keys_by_geometry[geometry] = keys
         return keys
 
-    def ops(self) -> Iterator[TraceOp]:
-        """Reconstruct the original op stream (oracle-compatible)."""
-        blocks = self.block_instructions
+    def ops(self) -> Tuple[TraceOp, ...]:
+        """The original op stream as a tuple (oracle-compatible), memoized.
+
+        Built on first use only: an oracle sweep replays the same tuple
+        once per policy.
+        """
+        if self._ops is None:
+            self._ops = tuple(self.iter_ops())
+        return self._ops
+
+    def iter_ops(self) -> Iterator[TraceOp]:
+        """Rebuild the original op stream lazily.
+
+        Compute blocks are immutable, so one instance per distinct
+        instruction count serves every block of that size.
+        """
+        interned = {count: ComputeBlock(instructions=count)
+                    for count in dict.fromkeys(self.block_instructions)}
+        blocks = [interned[count] for count in self.block_instructions]
         bounds = self.block_bounds
         write_flags = self.write_flags
         dependent_flags = self.dependent_flags
         pcs = self.pcs
         for i, address in enumerate(self.addresses):
-            for index in range(bounds[i], bounds[i + 1]):
-                yield ComputeBlock(instructions=blocks[index])
+            yield from blocks[bounds[i]:bounds[i + 1]]
             yield MemoryAccess(address=address, pc=pcs[i],
                                is_write=bool(write_flags[i]),
                                dependent=bool(dependent_flags[i]))
-        for index in range(bounds[self.num_memory_ops],
-                           bounds[self.num_memory_ops + 1]):
-            yield ComputeBlock(instructions=blocks[index])
+        yield from blocks[bounds[self.num_memory_ops]:]
 
 
 _TraceKey = Tuple[str, int, int, int]
@@ -177,10 +195,10 @@ _EMPTY_TRACE = ColumnarTrace(())
 class ColumnarTraceStore:
     """LRU-bounded memo of ``(warmup, measured)`` columnar trace pairs.
 
-    Generation mirrors :class:`repro.exec.TraceStore`: one generator
-    yields the warmup ops and then continues into the measured ops, so
-    the phase schedule and RNG advance across the boundary exactly as the
-    object-trace path does.
+    One generator yields the warmup ops and then continues into the
+    measured ops, so the phase schedule and RNG advance across the
+    boundary exactly as the streamed path does.  Bounded because a long
+    sweep may touch many workloads; evicting means regenerating later.
     """
 
     def __init__(self, max_entries: int = 8) -> None:
@@ -215,10 +233,10 @@ class ColumnarTraceStore:
         return pair
 
 
-# Per-process memo of generated columnar traces: a pure function of the
-# (profile, seed, warmup_ops, num_ops) key, same contract as the exec
-# engine's per-worker TraceStore.  # mapglint: declared-cache
-_SHARED_STORE = ColumnarTraceStore()
+# Per-process memo of generated columnar traces (one per pool worker): a
+# pure function of the (profile, seed, warmup_ops, num_ops) key, so it can
+# never change a result.
+_SHARED_STORE = ColumnarTraceStore()  # mapglint: declared-cache
 
 
 def shared_columnar_store() -> ColumnarTraceStore:

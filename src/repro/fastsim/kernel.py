@@ -309,7 +309,7 @@ class FastSimulator:
     def warm_up(self, trace: ColumnarTrace) -> None:
         """Replay a warmup region, then reset measurements (oracle-equal)."""
         if not self.used_fast_path:
-            self.sim.warm_up(trace.ops())
+            self.sim.warm_up(trace.iter_ops())
             return
         if self.sim._finished:
             raise SimulationError("cannot warm up after the measured run")
@@ -319,7 +319,7 @@ class FastSimulator:
     def run(self, trace: ColumnarTrace) -> SimulationResult:
         """Replay the measured region to completion; returns the result."""
         if not self.used_fast_path:
-            return self.sim.run(trace.ops())
+            return self.sim.run(trace.iter_ops())
         if self.sim._finished:
             raise SimulationError("a Simulator instance runs exactly one trace")
         self._replay(trace)

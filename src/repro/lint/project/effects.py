@@ -33,7 +33,7 @@ A module global that is a *deliberate, content-pure memo* (a cache whose
 value is derived entirely from the payload or the source tree) can be
 declared on its definition line::
 
-    _WORKER_STORE = None  # mapglint: declared-cache
+    _SHARED_STORE = ColumnarTraceStore()  # mapglint: declared-cache
 
 Declared caches produce no global-read/global-write effects; the
 declaration is the author's auditable claim that the memo cannot change
@@ -96,6 +96,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.lint.project.dimensions import dotted_name
+from repro.lint.project.source import line_text, source_repr
 
 #: Bump when the effect-summary layout or inference changes; folded into
 #: the result-cache key (see :mod:`repro.lint.cache`) so upgrading the
@@ -517,7 +518,7 @@ def _extract_guarded_bindings(tree: ast.Module, lines: List[str],
         bindings.append(GuardedBinding(
             symbol=symbol, lock=lock, scope=scope, line=stmt.lineno,
             col=stmt.col_offset + 1,
-            line_text=_line_text(lines, stmt.lineno)))
+            line_text=line_text(lines, stmt.lineno)))
 
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign):
@@ -571,20 +572,6 @@ def _is_mutable_value(node: ast.AST) -> bool:
             target.attr if isinstance(target, ast.Attribute) else "")
         return name in _MUTABLE_FACTORIES
     return False
-
-
-def _line_text(lines: List[str], line: int) -> str:
-    if 1 <= line <= len(lines):
-        return lines[line - 1]
-    return ""
-
-
-def _source_repr(source: str, node: ast.AST, limit: int = 60) -> str:
-    segment = ast.get_source_segment(source, node)
-    if segment is None:
-        return ""
-    segment = " ".join(segment.split())
-    return segment if len(segment) <= limit else segment[:limit - 3] + "..."
 
 
 def _call_base(func: ast.Attribute) -> str:
@@ -644,7 +631,7 @@ class _EffectVisitor(ast.NodeVisitor):
         self.effects.append(Effect(
             kind=kind, detail=detail, line=line,
             col=getattr(node, "col_offset", 0) + 1,
-            line_text=_line_text(self.lines, line), symbol=symbol,
+            line_text=line_text(self.lines, line), symbol=symbol,
             locks_held=held))
 
     # -- env ----------------------------------------------------------------
@@ -982,10 +969,10 @@ class _PoolSiteCollector(ast.NodeVisitor):
             for other in others for sub in ast.walk(other))
         self.into.append(PoolSubmission(
             method=method, worker_kind=kind, worker_name=name,
-            worker_repr=_source_repr(self.source, worker),
+            worker_repr=source_repr(self.source, worker),
             receiver=receiver, in_function=self.qualname,
             line=node.lineno, col=node.col_offset + 1,
-            line_text=_line_text(self.lines, node.lineno),
+            line_text=line_text(self.lines, node.lineno),
             lambda_in_args=lambda_in_args, open_in_args=open_in_args))
 
 
@@ -1019,7 +1006,7 @@ class _ConcurrencyCollector:
             self.writes.append(FileWrite(
                 path_repr=path_repr, mode=mode, in_function=self.qualname,
                 line=line, col=col,
-                line_text=_line_text(self.lines, line),
+                line_text=line_text(self.lines, line),
                 replace_in_function=self._has_replace))
 
     def _walk(self, node: ast.AST, conditional: bool,
@@ -1087,7 +1074,7 @@ class _ConcurrencyCollector:
                 self.lock_ops.append(LockOp(
                     op=attr, lock=base, function=self.qualname,
                     line=node.lineno, col=node.col_offset + 1,
-                    line_text=_line_text(self.lines, node.lineno),
+                    line_text=line_text(self.lines, node.lineno),
                     conditional=conditional, in_finally=in_finally,
                     held_before=self._held_excluding(node.lineno, base)))
             elif base == "os" and attr == "replace":
@@ -1115,11 +1102,11 @@ class _ConcurrencyCollector:
         self.spawns.append(SpawnSite(
             kind=kind, api=api, worker_kind=worker_kind,
             worker_name=worker_name,
-            worker_repr=_source_repr(self.source, worker)
+            worker_repr=source_repr(self.source, worker)
             if worker is not None else "",
             in_function=self.qualname, line=node.lineno,
             col=node.col_offset + 1,
-            line_text=_line_text(self.lines, node.lineno)))
+            line_text=line_text(self.lines, node.lineno)))
 
     def _open(self, node: ast.Call) -> None:
         mode = ""
@@ -1135,7 +1122,7 @@ class _ConcurrencyCollector:
             return
         path_node = node.args[0] if node.args else None
         self._raw_writes.append((
-            _source_repr(self.source, path_node)
+            source_repr(self.source, path_node)
             if path_node is not None else "",
             mode, node.lineno, node.col_offset + 1))
 
@@ -1152,7 +1139,7 @@ class _ConcurrencyCollector:
             self.lock_ops.append(LockOp(
                 op="with", lock=name, function=self.qualname,
                 line=node.lineno, col=node.col_offset + 1,
-                line_text=_line_text(self.lines, node.lineno),
+                line_text=line_text(self.lines, node.lineno),
                 conditional=conditional, in_finally=in_finally,
                 held_before=held))
             seen.append(name)
@@ -1317,7 +1304,7 @@ class _ErrorFlowCollector:
                 in_function=self.qualname, caught=caught, is_bare=is_bare,
                 try_start=start, try_end=end, line=handler.lineno,
                 col=handler.col_offset + 1,
-                line_text=_line_text(self.lines, handler.lineno),
+                line_text=line_text(self.lines, handler.lineno),
                 reraises=self._suite_reraises(handler.body),
                 raises_new=self._suite_raises_new(handler.body),
                 logs=self._suite_logs(handler.body),
@@ -1338,7 +1325,7 @@ class _ErrorFlowCollector:
                 exc_type="", in_function=self.qualname,
                 in_handler=in_handler, line=node.lineno,
                 col=node.col_offset + 1,
-                line_text=_line_text(self.lines, node.lineno),
+                line_text=line_text(self.lines, node.lineno),
                 is_reraise=True))
             return
         name = _exc_type_name(node.exc)
@@ -1348,7 +1335,7 @@ class _ErrorFlowCollector:
             exc_type=name, in_function=self.qualname,
             in_handler=in_handler, line=node.lineno,
             col=node.col_offset + 1,
-            line_text=_line_text(self.lines, node.lineno)))
+            line_text=line_text(self.lines, node.lineno)))
 
     # -- handler-suite classification ---------------------------------------
 
@@ -1393,7 +1380,7 @@ class _ErrorFlowCollector:
         site = ResourceSite(
             kind=kind, api=api, var=var, in_function=self.qualname,
             line=node.lineno, col=node.col_offset + 1,
-            line_text=_line_text(self.lines, node.lineno),
+            line_text=line_text(self.lines, node.lineno),
             in_with=in_with, escapes=escapes)
         if var and not in_with and not escapes:
             self._named.append((var, site))
@@ -1528,7 +1515,7 @@ def extract_module_effects(path: str, source: str,
                 class_attrs.append(ClassAttrInfo(
                     class_name=node.name, attr=name, line=stmt.lineno,
                     col=stmt.col_offset + 1,
-                    line_text=_line_text(lines, stmt.lineno)))
+                    line_text=line_text(lines, stmt.lineno)))
 
     # Which globals does any function body mutate after import?
     scanner = _MutationScanner(frozenset(mutable))

@@ -21,6 +21,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.lint.project.dimensions import (
     UNKNOWN, CallObservation, FunctionAnalyzer, dim_of_name, dotted_name)
 from repro.lint.project.effects import ModuleEffects, extract_module_effects
+from repro.lint.project.source import line_text, source_repr
 from repro.lint.project.twin import ModuleTwinFacts, extract_module_twin
 
 #: Bump when the summary layout changes so cached pickles are invalidated
@@ -169,20 +170,6 @@ class _AttrReadCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _line_text(lines: List[str], line: int) -> str:
-    if 1 <= line <= len(lines):
-        return lines[line - 1]
-    return ""
-
-
-def _source_repr(source: str, node: ast.AST, limit: int = 60) -> str:
-    segment = ast.get_source_segment(source, node)
-    if segment is None:
-        return ""
-    segment = " ".join(segment.split())
-    return segment if len(segment) <= limit else segment[:limit - 3] + "..."
-
-
 def _analyze_function(path: str, source: str, lines: List[str],
                       func: ast.AST, class_name: str = "") -> FunctionInfo:
     assert isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -196,9 +183,9 @@ def _analyze_function(path: str, source: str, lines: List[str],
             receiver=obs.receiver,
             line=node.lineno,
             col=node.col_offset + 1,
-            line_text=_line_text(lines, node.lineno),
+            line_text=line_text(lines, node.lineno),
             arg_dims=tuple(obs.arg_dims),
-            arg_reprs=tuple(_source_repr(source, arg) for arg in node.args),
+            arg_reprs=tuple(source_repr(source, arg) for arg in node.args),
             arg_tuple_lens=tuple(obs.arg_tuple_lens),
             kw_dims=tuple(sorted(obs.kw_dims.items())),
             result_context=obs.result_context,
@@ -242,7 +229,7 @@ def _extract_dataclass(node: ast.ClassDef,
             fields.append(FieldInfo(name=stmt.target.id,
                                     annotation=annotation,
                                     line=stmt.lineno,
-                                    line_text=_line_text(lines, stmt.lineno)))
+                                    line_text=line_text(lines, stmt.lineno)))
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
                 stmt.name == "__post_init__":
             has_post_init = True
@@ -302,7 +289,7 @@ def extract_summary(path: str, source: str, tree: ast.Module,
                         receiver=dotted_name(target.value),
                         line=target.lineno,
                         col=target.col_offset + 1,
-                        line_text=_line_text(lines, target.lineno)))
+                        line_text=line_text(lines, target.lineno)))
 
     # Functions, methods, dataclasses.
     def walk_body(body: List[ast.stmt], class_name: str = "") -> None:

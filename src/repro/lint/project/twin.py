@@ -47,6 +47,7 @@ from typing import (
     Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple)
 
 from repro.lint.project.dimensions import dotted_name
+from repro.lint.project.source import source_segment
 
 #: Bump when the twin-facts layout changes; folded into the cache key so
 #: stale pickled summaries can never feed the drift rules.
@@ -183,7 +184,7 @@ def _function_twin_facts(qualname: str, func: ast.AST,
             return
         seen_consts.add(key)
         line, col, end_col = _literal_span(node)
-        text = ast.get_source_segment(source, node) or key
+        text = source_segment(source, node) or key
         constants.append(TwinConst(key=key, text=text, line=line,
                                    col=col, end_col=end_col))
 

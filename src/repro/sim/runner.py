@@ -9,7 +9,7 @@ is a thin formatter over these.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # circularity guard: repro.exec executes via this layer
     from repro.exec import ResultCache, SweepRunner
@@ -22,6 +22,7 @@ from repro.memory.dram import Dram
 from repro.obs.spans import NullRecorder
 from repro.sim.results import MulticoreResult, SimulationResult
 from repro.sim.simulator import Simulator, static_offchip_latency_cycles
+from repro.trace.format import TraceOp
 from repro.workloads.synthetic import generate_trace
 
 __all__ = [
@@ -66,28 +67,70 @@ def run_workload(config: SystemConfig, profile_name: str, num_ops: int,
     however long the run is.  The fast path ingests the trace into
     memoized columnar arrays (a few bytes per op) instead.
     """
-    from repro.workloads.synthetic import SyntheticTraceGenerator
+    return _dispatch_cell(config, profile_name, num_ops, seed=seed,
+                          temperature_c=temperature_c, warmup_ops=warmup_ops,
+                          recorder=recorder, engine=engine, stream=True)[0]
+
+
+def _dispatch_cell(config: SystemConfig, workload: str, num_ops: int = 0,
+                   seed: int = 1, temperature_c: Optional[float] = None,
+                   warmup_ops: int = 0,
+                   recorder: Optional[NullRecorder] = None,
+                   engine: str = "oracle", stream: bool = False,
+                   ops: Optional[Sequence[TraceOp]] = None
+                   ) -> Tuple[SimulationResult, Dict[str, Any]]:
+    """Run one cell on ``engine``: the one place a simulator is chosen.
+
+    Builds the engine's simulator, replays the warmup region (if any) and
+    the measured region, and returns ``(result, telemetry)`` with::
+
+        {"engine": "oracle" | "fast",
+         "used_fast_path": bool,
+         "fallback_reasons": [str, ...]}
+
+    ``engine`` is the *requested* engine: a fast cell the kernel refused
+    runs bit-identically through oracle delegation but reports
+    ``used_fast_path=False`` and the kernel's reasons.  Telemetry is
+    observation only, never an input to the simulation.
+
+    Traces come from :func:`~repro.fastsim.shared_columnar_store` (the
+    oracle replays the memoized op tuple), except that ``ops`` — an
+    already materialized op sequence such as a trace file — is replayed
+    as the measured region, and ``stream`` feeds the oracle straight from
+    the generator.
+    """
+    from repro.fastsim import (ColumnarTrace, FastSimulator,
+                               shared_columnar_store, validate_engine)
     from repro.workloads.profiles import get_profile
-    from repro.fastsim import validate_engine
+    from repro.workloads.synthetic import SyntheticTraceGenerator
 
     validate_engine(engine)
     kwargs = {} if temperature_c is None else {"temperature_c": temperature_c}
     if engine == "fast":
-        from repro.fastsim import FastSimulator, shared_columnar_store
-
-        fast = FastSimulator(config, workload=profile_name, seed=seed,
-                             recorder=recorder, **kwargs)
-        warm_trace, measured_trace = shared_columnar_store().traces(
-            profile_name, num_ops, seed=seed, warmup_ops=warmup_ops)
-        if warmup_ops:
-            fast.warm_up(warm_trace)
-        return fast.run(measured_trace)
-    simulator = Simulator(config, workload=profile_name, seed=seed,
-                          recorder=recorder, **kwargs)
-    generator = SyntheticTraceGenerator(get_profile(profile_name), seed=seed)
+        simulator: Any = FastSimulator(config, workload=workload, seed=seed,
+                                       recorder=recorder, **kwargs)
+        telemetry = {"engine": engine,
+                     "used_fast_path": simulator.used_fast_path,
+                     "fallback_reasons": list(simulator.fallback_reasons)}
+    else:
+        simulator = Simulator(config, workload=workload, seed=seed,
+                              recorder=recorder, **kwargs)
+        telemetry = {"engine": engine, "used_fast_path": False,
+                     "fallback_reasons": []}
+    if ops is not None:
+        warm, measured = (), (ColumnarTrace(ops) if engine == "fast" else ops)
+    elif stream and engine == "oracle":
+        generator = SyntheticTraceGenerator(get_profile(workload), seed=seed)
+        warm = generator.operations(warmup_ops)
+        measured = generator.operations(num_ops)
+    else:
+        warm, measured = shared_columnar_store().traces(
+            workload, num_ops, seed=seed, warmup_ops=warmup_ops)
+        if engine == "oracle":
+            warm, measured = warm.ops(), measured.ops()
     if warmup_ops:
-        simulator.warm_up(generator.operations(warmup_ops))
-    return simulator.run(generator.operations(num_ops))
+        simulator.warm_up(warm)
+    return simulator.run(measured), telemetry
 
 
 def run_policy_comparison(config: SystemConfig, profile_names: Sequence[str],

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-import repro.exec.tracestore as tracestore_module
+import repro.fastsim.columnar as columnar_module
 from repro.config import SystemConfig
 from repro.errors import ConfigError, ReproError, SweepError
 from repro.exec import JobSpec, ResultCache, SweepRunner, result_to_dict
@@ -167,25 +167,31 @@ class TestWorkerCountInvariance:
 class TestTraceMemoization:
     def test_trace_generated_once_per_workload(self, monkeypatch):
         # The satellite bug: run_policy_comparison used to regenerate the
-        # identical trace once per *policy*.  Through the engine's
-        # TraceStore it is generated once per (profile, seed).
+        # identical trace once per *policy*.  Through the shared columnar
+        # store it is generated once per (profile, seed), on either engine.
         constructions = []
-        real = tracestore_module.SyntheticTraceGenerator
+        real = columnar_module.SyntheticTraceGenerator
 
         def counting(profile, seed):
             constructions.append((profile.name, seed))
             return real(profile, seed=seed)
 
-        monkeypatch.setattr(tracestore_module, "SyntheticTraceGenerator",
+        monkeypatch.setattr(columnar_module, "SyntheticTraceGenerator",
                             counting)
-        run_policy_comparison(SystemConfig(), ["gcc_like"],
-                              ["never", "naive", "mapg"], 200, seed=3)
-        assert constructions == [("gcc_like", 3)]
 
-        constructions.clear()
-        run_policy_comparison(SystemConfig(), ["gcc_like", "mcf_like"],
-                              ["never", "mapg"], 200, seed=3)
-        assert constructions == [("gcc_like", 3), ("mcf_like", 3)]
+        def generated(profiles, policies, engine):
+            monkeypatch.setattr(columnar_module, "_SHARED_STORE",
+                                columnar_module.ColumnarTraceStore())
+            constructions.clear()
+            run_policy_comparison(SystemConfig(), profiles, policies, 200,
+                                  seed=3, engine=engine)
+            return constructions
+
+        for engine in ("oracle", "fast"):
+            assert generated(["gcc_like"], ["never", "naive", "mapg"],
+                             engine) == [("gcc_like", 3)]
+            assert generated(["gcc_like", "mcf_like"], ["never", "mapg"],
+                             engine) == [("gcc_like", 3), ("mcf_like", 3)]
 
 
 class TestStreamingMemory:

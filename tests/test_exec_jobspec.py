@@ -1,4 +1,4 @@
-"""Unit tests for JobSpec (cell identity) and TraceStore (trace memo)."""
+"""Unit tests for JobSpec (cell identity) and the columnar trace store."""
 
 import dataclasses
 
@@ -6,8 +6,9 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.errors import ConfigError
-from repro.exec import JobSpec, TraceStore
+from repro.exec import JobSpec
 from repro.exec.version import digest_tree
+from repro.fastsim import ColumnarTrace, ColumnarTraceStore
 from repro.sim.runner import run_workload, with_policy
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import SyntheticTraceGenerator
@@ -68,17 +69,20 @@ class TestJobSpecExecute:
         assert cell.execute() == direct
 
     def test_matches_run_workload_with_warmup_and_store(self):
+        # The first execute fills the trace store, the second replays the
+        # memoized trace; both engines must equal the streamed run.
         cell = spec(config=with_policy(SystemConfig(), "mapg"),
                     warmup_ops=300)
         direct = run_workload(cell.config, cell.profile, cell.num_ops,
                               seed=cell.seed, warmup_ops=cell.warmup_ops)
         assert cell.execute() == direct
-        assert cell.execute(trace_store=TraceStore()) == direct
+        assert cell.execute() == direct
+        assert dataclasses.replace(cell, engine="fast").execute() == direct
 
 
 class TestTraceStore:
     def test_memoizes_per_cell(self):
-        store = TraceStore()
+        store = ColumnarTraceStore()
         first = store.traces("gcc_like", 200, seed=3, warmup_ops=50)
         second = store.traces("gcc_like", 200, seed=3, warmup_ops=50)
         assert first is second
@@ -91,16 +95,17 @@ class TestTraceStore:
         generator = SyntheticTraceGenerator(get_profile("mcf_like"), seed=7)
         warm = tuple(generator.operations(60))
         measured = tuple(generator.operations(150))
-        assert TraceStore().traces("mcf_like", 150, seed=7, warmup_ops=60) \
-            == (warm, measured)
+        pair = ColumnarTraceStore().traces("mcf_like", 150, seed=7,
+                                           warmup_ops=60)
+        assert (pair[0].ops(), pair[1].ops()) == (warm, measured)
 
     def test_no_warmup_gives_empty_warm_trace(self):
-        warm, measured = TraceStore().traces("gcc_like", 100, seed=3)
-        assert warm == ()
-        assert len(measured) == 100
+        warm, measured = ColumnarTraceStore().traces("gcc_like", 100, seed=3)
+        assert warm.ops() == ()
+        assert measured.num_ops == len(measured.ops()) == 100
 
     def test_lru_eviction_is_bounded(self):
-        store = TraceStore(max_entries=2)
+        store = ColumnarTraceStore(max_entries=2)
         for seed in (1, 2, 3):
             store.traces("gcc_like", 50, seed=seed)
         store.traces("gcc_like", 50, seed=1)  # evicted: regenerates
@@ -108,7 +113,15 @@ class TestTraceStore:
 
     def test_rejects_bad_bound(self):
         with pytest.raises(ConfigError):
-            TraceStore(max_entries=0)
+            ColumnarTraceStore(max_entries=0)
+
+    def test_op_tuple_is_built_once_and_matches_the_generator(self):
+        stream = tuple(SyntheticTraceGenerator(get_profile("gcc_like"),
+                                               seed=5).operations(400))
+        trace = ColumnarTrace(stream)
+        ops = trace.ops()
+        assert ops is trace.ops()
+        assert ops == stream
 
 
 class TestDigestTree:

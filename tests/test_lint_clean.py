@@ -10,6 +10,8 @@ Also proves the CLI's failure mode: a seeded violation must make
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.lint import Baseline, lint_paths
 from repro.lint.cli import main as lint_main
 
@@ -17,10 +19,15 @@ REPO_ROOT = Path(__file__).parent.parent
 BASELINE = REPO_ROOT / "lint-baseline.json"
 
 
-def test_repo_is_lint_clean():
-    baseline = Baseline.load(str(BASELINE))
-    report = lint_paths([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")],
-                        baseline=baseline)
+@pytest.fixture(scope="module")
+def tree_report():
+    """One whole-tree lint against the checked-in baseline, shared."""
+    return lint_paths([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")],
+                      baseline=Baseline.load(str(BASELINE)))
+
+
+def test_repo_is_lint_clean(tree_report):
+    report = tree_report
     assert report.files_checked > 100
     assert report.ok, "\n".join(
         f"{f.location()} [{f.rule_id}] {f.message}" for f in report.all_findings)
@@ -35,11 +42,8 @@ def test_checked_in_baseline_is_empty():
     assert len(Baseline.load(str(BASELINE))) == 0
 
 
-def test_no_stale_baseline_entries():
-    baseline = Baseline.load(str(BASELINE))
-    report = lint_paths([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")],
-                        baseline=baseline)
-    assert report.stale_baseline == []
+def test_no_stale_baseline_entries(tree_report):
+    assert tree_report.stale_baseline == []
 
 
 def test_seeded_violation_fails_cli(tmp_path, capsys):

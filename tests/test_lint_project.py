@@ -15,6 +15,7 @@ from repro.lint.base import parse_suppressions
 from repro.lint.project import (
     CYCLES, HERTZ, JOULES, NUM, SECONDS, UNKNOWN, WATTS,
     FunctionAnalyzer, ProjectModel, extract_summary, is_test_path)
+from repro.lint.project.source import source_repr, source_segment
 
 
 def summarize(path, source):
@@ -49,6 +50,29 @@ class TestTestPathDetection:
         # must not trip the exemption — seeded-bug regressions depend on it.
         assert not is_test_path(
             "/tmp/pytest-of-x/pytest-0/test_seeded0/repro/sim/driver.py")
+
+
+class TestSourceSegment:
+    # Line ends the parser knows (\r\n, \r, \n) next to ones it does not
+    # (\f, \v, \x1c), and non-ASCII text before the columns: the AST's
+    # column offsets count UTF-8 bytes.
+    TRICKY = ("a = 1\r\nb = (2,\r 3)\n\x0cc = 'é' + \"ü\"\nd = f(x,\n y)",
+              "x = ('ä \x0b', \n 'b\x1c')\ny = 1  # \x1c\nz = 2",
+              "s = \"\"\"a\r\n\x0c\rb\"\"\"")
+
+    def test_matches_ast_get_source_segment(self):
+        sources = self.TRICKY + (Path(__file__).read_text(encoding="utf-8"),)
+        for source in sources:
+            for node in ast.walk(ast.parse(source)):
+                assert source_segment(source, node) == \
+                    ast.get_source_segment(source, node)
+
+    def test_repr_collapses_whitespace_and_truncates(self):
+        source = "f(alpha,\n  beta)\n"
+        call = ast.parse(source).body[0].value
+        assert source_repr(source, call) == "f(alpha, beta)"
+        assert source_repr(source, call, limit=8) == "f(alp..."
+        assert source_repr(source, ast.Pass()) == ""
 
 
 class TestSummaryExtraction:
