@@ -107,7 +107,7 @@ def run_benchmarks(num_ops: int, sweep_ops: int, jobs: int,
     # -- single-core throughput -------------------------------------------
     with profiler.stage("single_core") as stage:
         result = run_workload(with_policy(SystemConfig(), "mapg"),
-                              "mcf_like", num_ops, seed=7)
+                              "mcf_like", num_ops, seed=7, engine="oracle")
         stage.add_events(result.event_count)
     wall = profiler.report()["stages"][-1]["wall_s"]
     rows["single_core"] = {

@@ -31,6 +31,7 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.tables import format_fraction_pct, format_table
 from repro.config import SystemConfig, TokenConfig
+from repro.engines import DEFAULT_ENGINE
 from repro.errors import ReproError
 from repro.power.gating import SleepTransistorNetwork
 from repro.power.technology import TECHNOLOGY_NODES, get_technology
@@ -60,11 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--policy", choices=_POLICIES, default="mapg")
     run_cmd.add_argument("--ops", type=int, default=20_000)
     run_cmd.add_argument("--seed", type=int, default=1)
-    run_cmd.add_argument("--engine", default="oracle",
-                         help="execution kernel: 'oracle' (reference "
-                              "event-driven simulator) or 'fast' (columnar "
-                              "batched kernel, bit-identical results); "
-                              "unknown names are a configuration error")
+    run_cmd.add_argument("--engine", default=DEFAULT_ENGINE,
+                         help="execution kernel: 'fast' (default; columnar "
+                              "batched kernel) or 'oracle' (the reference "
+                              "event-driven simulator it is checked "
+                              "against, bit-identical results); unknown "
+                              "names are a configuration error")
     run_cmd.add_argument("--technology", default="45nm")
     run_cmd.add_argument("--temperature", type=float, default=85.0,
                          help="junction temperature in C")
@@ -96,9 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     compare_cmd.add_argument("--policies", nargs="+", default=list(_POLICIES))
     compare_cmd.add_argument("--ops", type=int, default=10_000)
     compare_cmd.add_argument("--seed", type=int, default=1)
-    compare_cmd.add_argument("--engine", default="oracle",
+    compare_cmd.add_argument("--engine", default=DEFAULT_ENGINE,
                              help="execution kernel per cell "
-                                  "('oracle' or 'fast'; see `run --help`)")
+                                  "('fast' or 'oracle'; see `run --help`)")
 
     circuit_cmd = commands.add_parser(
         "circuit", help="sleep-transistor characterization (T2)")
@@ -115,9 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="sweep points (scale factors, or C for temperature)")
     sweep_cmd.add_argument("--ops", type=int, default=10_000)
     sweep_cmd.add_argument("--seed", type=int, default=1)
-    sweep_cmd.add_argument("--engine", default="oracle",
+    sweep_cmd.add_argument("--engine", default=DEFAULT_ENGINE,
                            help="execution kernel per cell "
-                                "('oracle' or 'fast'; see `run --help`)")
+                                "('fast' or 'oracle'; see `run --help`)")
     sweep_cmd.add_argument("--jobs", type=int, default=1,
                            help="worker processes for the sweep engine; "
                                 "results are byte-identical at any count")
@@ -233,7 +235,7 @@ def _run_one(config: SystemConfig, args: argparse.Namespace,
     """One simulation of the run command's workload (profile or trace file)."""
     from repro.sim.runner import _dispatch_cell
 
-    engine = getattr(args, "engine", "oracle")
+    engine = getattr(args, "engine", DEFAULT_ENGINE)
     if args.workload.endswith((".jsonl", ".bin")):
         return _dispatch_cell(config, args.workload, seed=args.seed,
                               temperature_c=args.temperature,
@@ -411,7 +413,7 @@ _SWEEP_DEFAULTS = {
 
 def _sweep_specs(axis: str, values: Sequence[float], workload: str,
                  num_ops: int, seed: int,
-                 engine: str = "oracle") -> List["object"]:
+                 engine: str = DEFAULT_ENGINE) -> List["object"]:
     """The sweep as JobSpecs: per value, a never-gate cell then a mapg
     cell, with the swept knob applied exactly as the table expects."""
     from repro.exec import JobSpec

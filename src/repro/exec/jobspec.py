@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.config import SystemConfig
+from repro.engines import DEFAULT_ENGINE, validate_engine
 from repro.errors import ConfigError
 from repro.obs.manifest import config_digest
 
@@ -33,11 +34,9 @@ class JobSpec:
     seed: int = 1
     warmup_ops: int = 0
     temperature_c: Optional[float] = None
-    engine: str = "oracle"
+    engine: str = DEFAULT_ENGINE
 
     def __post_init__(self) -> None:
-        from repro.fastsim import validate_engine
-
         if not self.profile:
             raise ConfigError("JobSpec needs a workload profile name")
         if self.num_ops < 0:
@@ -99,7 +98,7 @@ class JobSpec:
             seed=payload["seed"],
             warmup_ops=payload["warmup_ops"],
             temperature_c=payload["temperature_c"],
-            engine=payload.get("engine", "oracle"),
+            engine=payload["engine"],
         )
 
     def execute(self) -> Any:

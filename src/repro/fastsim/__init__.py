@@ -7,31 +7,21 @@ Public surface:
 * :class:`FastSimulator` — the batched kernel, bit-identical to the
   oracle :class:`~repro.sim.simulator.Simulator` (falls back to it for
   unsupported configurations).
-* :data:`ENGINES` / :func:`validate_engine` — the engine-selection
-  vocabulary shared by the CLI, the runner, and the exec layer.
+* :data:`ENGINES` / :data:`DEFAULT_ENGINE` / :func:`validate_engine` —
+  the engine-selection vocabulary of :mod:`repro.engines`, re-exported.
 """
 
 from __future__ import annotations
 
-from repro.errors import ConfigError
+from repro.engines import DEFAULT_ENGINE, ENGINES, validate_engine
 from repro.fastsim.columnar import (ColumnarTrace, ColumnarTraceStore,
                                     shared_columnar_store)
 from repro.fastsim.kernel import FastSimulator
 
-ENGINES = ("oracle", "fast")
-
-
-def validate_engine(engine: str) -> str:
-    """Check an engine name, returning it; raises ConfigError otherwise."""
-    if engine not in ENGINES:
-        raise ConfigError(
-            f"unknown engine {engine!r}; choose one of {', '.join(ENGINES)}")
-    return engine
-
-
 __all__ = [
     "ColumnarTrace",
     "ColumnarTraceStore",
+    "DEFAULT_ENGINE",
     "ENGINES",
     "FastSimulator",
     "shared_columnar_store",

@@ -1,7 +1,7 @@
 """Batched single-core execution kernel, bit-identical to the oracle.
 
 :class:`FastSimulator` wraps a regular :class:`~repro.sim.simulator.Simulator`
-and replays a :class:`~repro.fastsim.columnar.ColumnarTrace` through one
+and replays a :class:`~repro.trace.columnar.ColumnarTrace` through one
 flat Python loop instead of the oracle's object pipeline (trace-op objects
 -> ``Core.segments`` generator -> segment objects -> type-keyed dispatch ->
 per-call cache/MSHR/DRAM/controller methods).  Whole stall-free runs are
@@ -63,7 +63,7 @@ from repro.core.policies import MapgPolicy, NeverPolicy
 from repro.core.token import TokenArbiter
 from repro.cpu.core import MLP_WINDOW_CYCLES
 from repro.errors import SimulationError
-from repro.fastsim.columnar import ColumnarTrace
+from repro.trace.columnar import ColumnarTrace
 from repro.memory.dram import (ROW_CLOSED, ROW_CONFLICT, ROW_HIT,
                                WRITE_BUFFERED, Dram)
 from repro.obs.spans import NullRecorder
@@ -95,7 +95,7 @@ class FastSimulator:
     Drop-in companion to :class:`~repro.sim.simulator.Simulator`:
     construct with the same arguments, then drive with
     :meth:`warm_up`/:meth:`run` passing
-    :class:`~repro.fastsim.columnar.ColumnarTrace` regions.  The wrapped
+    :class:`~repro.trace.columnar.ColumnarTrace` regions.  The wrapped
     oracle instance is exposed as ``.sim`` (its ``result()`` is the one
     returned).  ``fallback_reasons`` lists why the kernel would not
     engage; when non-empty the replay transparently uses the oracle.

@@ -53,14 +53,14 @@ class Cache:
         self._ways = config.associativity
         self._offset_bits = config.line_bytes.bit_length() - 1
         self._index_mask = self._num_sets - 1
-        self._sets: List[List[_Line]] = [
-            [_Line() for __ in range(self._ways)] for __ in range(self._num_sets)
-        ]
+        # Per-set tag state is built the first time a set is touched (see
+        # _allocate): a never-touched set is one None slot.
+        self._sets: List[Optional[List[_Line]]] = [None] * self._num_sets
         # LRU: per-set list of way indices, most-recent last.
-        self._lru: List[List[int]] = [list(range(self._ways)) for __ in range(self._num_sets)]
+        self._lru: List[Optional[List[int]]] = [None] * self._num_sets
         # Tree-PLRU: per-set bit array over a complete binary tree (ways must
         # be a power of two for PLRU; validated lazily on first use).
-        self._plru: List[List[int]] = [[0] * max(1, self._ways - 1) for __ in range(self._num_sets)]
+        self._plru: List[Optional[List[int]]] = [None] * self._num_sets
         self._rng = random.Random(seed)
         self.counters = CounterSet()
 
@@ -84,6 +84,8 @@ class Cache:
         """
         index, tag = self._index_and_tag(address)
         lines = self._sets[index]
+        if lines is None:
+            lines = self._allocate(index)
         self.counters.add("accesses")
         if is_write:
             self.counters.add("writes")
@@ -113,14 +115,16 @@ class Cache:
     def probe(self, address: int) -> bool:
         """Non-destructive lookup: True if the line is resident."""
         index, tag = self._index_and_tag(address)
-        return any(line.valid and line.tag == tag for line in self._sets[index])
+        lines = self._sets[index]
+        return lines is not None and any(
+            line.valid and line.tag == tag for line in lines)
 
     def invalidate(self, address: int) -> bool:
         """Drop the line containing ``address`` if resident; True if dropped.
 
         Dirty data is discarded (used by failure-injection tests)."""
         index, tag = self._index_and_tag(address)
-        for line in self._sets[index]:
+        for line in self._sets[index] or ():
             if line.valid and line.tag == tag:
                 line.valid = False
                 line.dirty = False
@@ -131,7 +135,7 @@ class Cache:
         """Invalidate everything; returns addresses of dirty lines dropped."""
         dirty: List[int] = []
         for index, lines in enumerate(self._sets):
-            for line in lines:
+            for line in lines or ():
                 if line.valid and line.dirty:
                     block = (line.tag << self._index_mask.bit_length()) | index
                     dirty.append(block << self._offset_bits)
@@ -140,6 +144,14 @@ class Cache:
         return dirty
 
     # ---- replacement -------------------------------------------------------
+
+    def _allocate(self, index: int) -> List[_Line]:
+        """Build set ``index``'s lines and replacement state on first touch."""
+        lines = [_Line() for __ in range(self._ways)]
+        self._sets[index] = lines
+        self._lru[index] = list(range(self._ways))
+        self._plru[index] = [0] * max(1, self._ways - 1)
+        return lines
 
     def _touch(self, index: int, way: int) -> None:
         policy = self.config.replacement

@@ -40,6 +40,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
+from repro.engines import DEFAULT_ENGINE
 from repro.obs.manifest import environment_manifest
 from repro.obs.runlog import JsonlWriter
 
@@ -106,7 +107,7 @@ class NullSweepRecorder:
         """Record nothing."""
 
     def cell_queued(self, key: str, profile: str, policy: str, seed: int,
-                    num_ops: int, engine: str = "oracle") -> None:
+                    num_ops: int, engine: str = DEFAULT_ENGINE) -> None:
         """Record nothing."""
 
     def cell_cache_hit(self, key: str) -> None:
@@ -208,7 +209,7 @@ class SweepRecorder(NullSweepRecorder):
             simulation_version=simulation_version, cache=cache_attached)
 
     def cell_queued(self, key: str, profile: str, policy: str, seed: int,
-                    num_ops: int, engine: str = "oracle") -> None:
+                    num_ops: int, engine: str = DEFAULT_ENGINE) -> None:
         """Announce one distinct cell of the sweep (first-seen order).
 
         ``engine`` is the engine the spec *requests*; whether a fast
@@ -264,7 +265,7 @@ class SweepRecorder(NullSweepRecorder):
         self.completed += 1
         record = self._cells.get(key)
         if engine is None:
-            engine = record["engine"] if record is not None else "oracle"
+            engine = record["engine"] if record is not None else DEFAULT_ENGINE
         reasons = list(fallback_reasons)
         bucket = _engine_bucket(engine, reasons)
         self._engine_counts[bucket] = self._engine_counts.get(bucket, 0) + 1

@@ -17,6 +17,7 @@ if TYPE_CHECKING:  # circularity guard: repro.exec executes via this layer
 from repro.config import SystemConfig
 from repro.core.token import TokenArbiter
 from repro.cpu.multicore import MultiCoreScheduler
+from repro.engines import DEFAULT_ENGINE, validate_engine
 from repro.errors import ConfigError
 from repro.memory.dram import Dram
 from repro.obs.spans import NullRecorder
@@ -46,7 +47,7 @@ def run_workload(config: SystemConfig, profile_name: str, num_ops: int,
                  seed: int = 1, temperature_c: Optional[float] = None,
                  warmup_ops: int = 0,
                  recorder: Optional[NullRecorder] = None,
-                 engine: str = "oracle") -> SimulationResult:
+                 engine: str = DEFAULT_ENGINE) -> SimulationResult:
     """Generate a trace for ``profile_name`` and run it through ``config``.
 
     ``warmup_ops`` extra ops are replayed first and excluded from every
@@ -55,17 +56,18 @@ def run_workload(config: SystemConfig, profile_name: str, num_ops: int,
     captures the cycle-timestamped timeline for Perfetto export; the
     default records nothing and costs nothing.
 
-    ``engine`` selects the execution kernel: ``"oracle"`` is the
-    reference event-driven simulator, ``"fast"`` the columnar batched
-    kernel of :mod:`repro.fastsim` — bit-identical results by contract,
+    ``engine`` selects the execution kernel: ``"fast"`` (the default) is
+    the columnar batched kernel of :mod:`repro.fastsim`, ``"oracle"`` the
+    reference event-driven simulator every fast result is checked
+    against — bit-identical results by contract; the fast kernel is
     roughly an order of magnitude faster on gating-eligible configs
     (unsupported ones transparently fall back to the oracle).  Unknown
     names raise :class:`~repro.errors.ConfigError`.
 
-    On the oracle path the generator **streams** into the simulator —
-    the op trace is never materialized as a list, so memory stays flat
-    however long the run is.  The fast path ingests the trace into
-    memoized columnar arrays (a few bytes per op) instead.
+    The fast path generates the trace straight into memoized columnar
+    arrays (a few bytes per op).  On the oracle path the generator
+    **streams** into the simulator — the op trace is never materialized
+    as a list, so memory stays flat however long the run is.
     """
     return _dispatch_cell(config, profile_name, num_ops, seed=seed,
                           temperature_c=temperature_c, warmup_ops=warmup_ops,
@@ -76,7 +78,7 @@ def _dispatch_cell(config: SystemConfig, workload: str, num_ops: int = 0,
                    seed: int = 1, temperature_c: Optional[float] = None,
                    warmup_ops: int = 0,
                    recorder: Optional[NullRecorder] = None,
-                   engine: str = "oracle", stream: bool = False,
+                   engine: str = DEFAULT_ENGINE, stream: bool = False,
                    ops: Optional[Sequence[TraceOp]] = None
                    ) -> Tuple[SimulationResult, Dict[str, Any]]:
     """Run one cell on ``engine``: the one place a simulator is chosen.
@@ -100,7 +102,7 @@ def _dispatch_cell(config: SystemConfig, workload: str, num_ops: int = 0,
     the generator.
     """
     from repro.fastsim import (ColumnarTrace, FastSimulator,
-                               shared_columnar_store, validate_engine)
+                               shared_columnar_store)
     from repro.workloads.profiles import get_profile
     from repro.workloads.synthetic import SyntheticTraceGenerator
 
@@ -137,7 +139,7 @@ def run_policy_comparison(config: SystemConfig, profile_names: Sequence[str],
                           policies: Sequence[str], num_ops: int,
                           seed: int = 1, jobs: int = 1,
                           cache: "Optional[ResultCache]" = None,
-                          engine: str = "oracle"
+                          engine: str = DEFAULT_ENGINE
                           ) -> Dict[str, Dict[str, SimulationResult]]:
     """The F2/T3 matrix: results[workload][policy].
 
@@ -169,7 +171,7 @@ def run_seed_study(config: SystemConfig, profile_name: str, num_ops: int,
                    seeds: Sequence[int],
                    baseline_policy: str = "never", jobs: int = 1,
                    cache: "Optional[ResultCache]" = None,
-                   engine: str = "oracle") -> "SeedStudy":
+                   engine: str = DEFAULT_ENGINE) -> "SeedStudy":
     """Replicate one (workload, policy) comparison across trace seeds.
 
     Every seed generates an independent trace instance of the same

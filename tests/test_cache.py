@@ -1,5 +1,7 @@
 """Tests for the set-associative cache model."""
 
+import random
+
 import pytest
 
 from repro.config import CacheConfig
@@ -90,6 +92,21 @@ class TestRandom:
                 results.append(cache.access(i * 0x40 % 0x400).hit)
         assert results_a == results_b
 
+    def test_random_victims_are_pinned(self):
+        # Recorded when every set was allocated up front: building sets on
+        # first touch must not move a single replacement draw.
+        cache = Cache(CacheConfig(name="T", size_bytes=8 * 64, line_bytes=64,
+                                  associativity=4, replacement="random"),
+                      seed=11)
+        pattern = random.Random(5)
+        hits = "".join(
+            "H" if cache.access(pattern.randrange(12) * 0x40,
+                                is_write=i % 3 == 0).hit else "."
+            for i in range(60))
+        assert hits == ("....HH.....HH..H...HHHH..HHH..HHH.H."
+                        "HHHH.HHHHHH..HH...HH.HHH")
+        assert cache.flush() == [0x80, 0x180, 0x280, 0x240, 0x140]
+
 
 class TestWriteback:
     def test_dirty_eviction_reports_writeback_address(self):
@@ -146,6 +163,29 @@ class TestMaintenance:
         assert dirty == [0x000]
         assert not cache.probe(0x000)
         assert not cache.probe(0x040)
+
+    def test_flush_orders_dirty_lines_by_set_index(self):
+        # Sets are dirtied from the highest index down; flush still walks
+        # them in ascending index order, not in the order they were touched.
+        cache = make_cache(sets=8, ways=2)
+        for index in (7, 5, 2, 0):
+            cache.access(index * 0x40, is_write=True)
+            cache.access(index * 0x40 + 8 * 0x40, is_write=True)
+        assert cache.flush() == [0x000, 0x200, 0x080, 0x280,
+                                 0x140, 0x340, 0x1C0, 0x3C0]
+
+    def test_untouched_set_probe_and_invalidate(self):
+        cache = make_cache(sets=4, ways=2)
+        cache.access(0x000, is_write=True)  # set 0 only
+        assert not cache.probe(0x040)  # set 1, never touched
+        assert not cache.invalidate(0x0C0)  # set 3, never touched
+        assert cache.counters.get("accesses") == 1
+        assert cache.flush() == [0x000]
+        fresh = make_cache(sets=4, ways=2)
+        assert not fresh.probe(0x1000)
+        assert not fresh.invalidate(0x1000)
+        assert fresh.flush() == []
+        assert fresh.counters.get("accesses") == 0
 
 
 class TestGeometry:

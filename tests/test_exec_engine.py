@@ -194,36 +194,47 @@ class TestTraceMemoization:
                              engine) == [("gcc_like", 3), ("mcf_like", 3)]
 
 
+def traced_peak(run):
+    """``(run(), peak Python-level bytes allocated while it ran)``."""
+    profiler = SelfProfiler(trace_malloc=True)
+    with profiler.stage("run"):
+        value = run()
+    return value, profiler.report()["peak_traced_bytes"]
+
+
 class TestStreamingMemory:
-    def test_run_workload_streams_the_trace(self):
-        # Regression guard for the satellite fix: run_workload must feed
-        # the generator straight into the simulator.  Reference point: the
-        # same cell with the trace materialized as lists first.  Python-
-        # level peaks via tracemalloc; the materialized run's peak carries
-        # the whole op list on top of the model state, so the streamed
-        # peak must sit well below it.
+    # Regression guard: run_workload must never
+    # build an op list.  Reference point: the same cell on the oracle with
+    # the trace materialized as lists first.  Python-level peaks via
+    # tracemalloc; the materialized run's peak carries the whole op list
+    # on top of the model state, so a run_workload peak on either engine
+    # must sit well below it.
+    NUM_OPS, WARMUP_OPS, SEED = 20_000, 1_000, 3
+
+    def materialized(self, config):
+        generator = SyntheticTraceGenerator(get_profile("gcc_like"),
+                                            seed=self.SEED)
+        warm = list(generator.operations(self.WARMUP_OPS))
+        measured = list(generator.operations(self.NUM_OPS))
+        simulator = Simulator(config, workload="gcc_like", seed=self.SEED)
+        simulator.warm_up(warm)
+        return simulator.run(measured)
+
+    @pytest.mark.parametrize("engine", ["oracle", "fast"])
+    def test_run_workload_streams_the_trace(self, engine, monkeypatch):
         config = with_policy(SystemConfig(), "mapg")
-        num_ops, warmup_ops, seed = 20_000, 1_000, 3
-
-        materialized = SelfProfiler(trace_malloc=True)
-        with materialized.stage("materialized"):
-            generator = SyntheticTraceGenerator(get_profile("gcc_like"),
-                                                seed=seed)
-            warm = list(generator.operations(warmup_ops))
-            measured = list(generator.operations(num_ops))
-            simulator = Simulator(config, workload="gcc_like", seed=seed)
-            simulator.warm_up(warm)
-            reference = simulator.run(measured)
-
-        streamed = SelfProfiler(trace_malloc=True)
-        with streamed.stage("streamed"):
-            result = run_workload(config, "gcc_like", num_ops, seed=seed,
-                                  warmup_ops=warmup_ops)
+        reference, peak_materialized = traced_peak(
+            lambda: self.materialized(config))
+        # A fresh trace store, so the fast engine's generation into
+        # columns is inside its measured peak.
+        monkeypatch.setattr(columnar_module, "_SHARED_STORE",
+                            columnar_module.ColumnarTraceStore())
+        result, peak_streamed = traced_peak(lambda: run_workload(
+            config, "gcc_like", self.NUM_OPS, seed=self.SEED,
+            warmup_ops=self.WARMUP_OPS, engine=engine))
 
         assert result == reference  # same cell, same numbers
-        peak_streamed = streamed.report()["peak_traced_bytes"]
-        peak_materialized = materialized.report()["peak_traced_bytes"]
         assert peak_streamed < 0.75 * peak_materialized, (
-            f"streamed peak {peak_streamed:,} B is not clearly below the "
+            f"{engine} peak {peak_streamed:,} B is not clearly below the "
             f"materialized peak {peak_materialized:,} B — is run_workload "
             f"building an op list again?")

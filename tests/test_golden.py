@@ -38,10 +38,21 @@ INTEGER_FIELDS = ("total_cycles", "penalty_cycles", "instructions",
                   "offchip_stalls", "gated_stalls", "event_count")
 
 
+def golden_matrix(engine):
+    return run_policy_comparison(SystemConfig(), WORKLOADS, POLICIES,
+                                 4000, seed=42, engine=engine)
+
+
 @pytest.fixture(scope="module")
 def matrix():
-    return run_policy_comparison(SystemConfig(), WORKLOADS, POLICIES,
-                                 4000, seed=42)
+    # The oracle is the reference every fast result is checked against,
+    # so it stays pinned by name now that "fast" is the default engine.
+    return golden_matrix("oracle")
+
+
+@pytest.fixture(scope="module")
+def fast_matrix():
+    return golden_matrix("fast")
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +63,18 @@ def golden():
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("policy", POLICIES)
 def test_golden_numbers(matrix, golden, workload, policy):
-    result = matrix[workload][policy]
-    expected = golden[workload][policy]
+    assert_golden(matrix[workload][policy], golden[workload][policy],
+                  workload, policy)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("policy", POLICIES)
+def test_golden_numbers_fast(fast_matrix, golden, workload, policy):
+    assert_golden(fast_matrix[workload][policy], golden[workload][policy],
+                  workload, policy)
+
+
+def assert_golden(result, expected, workload, policy):
     for field in INTEGER_FIELDS:
         assert getattr(result, field) == expected[field], \
             f"{workload}/{policy}.{field} drifted"

@@ -297,9 +297,11 @@ class TestEngineTelemetry:
             core=dataclasses.replace(config.core, miss_window=2))
         return [
             JobSpec(config=with_policy(config, "never"),
-                    profile="gcc_like", num_ops=num_ops, seed=3),
+                    profile="gcc_like", num_ops=num_ops, seed=3,
+                    engine="oracle"),
             JobSpec(config=with_policy(config, "mapg"),
-                    profile="gcc_like", num_ops=num_ops, seed=3),
+                    profile="gcc_like", num_ops=num_ops, seed=3,
+                    engine="oracle"),
             JobSpec(config=with_policy(config, "mapg"),
                     profile="mcf_like", num_ops=num_ops, seed=3,
                     engine="fast"),
