@@ -16,14 +16,21 @@ from _common import SWEEP_OPS, emit, run_once
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import format_fraction_pct
 from repro.config import PrefetcherConfig, SystemConfig
+from repro.fastsim import FastSimulator
 from repro.sim.runner import run_workload, with_policy
 
 WORKLOADS = ("mcf_like", "libquantum_like", "lbm_like", "gcc_like")
 
 
+def prefetch_config() -> SystemConfig:
+    """The default system with the degree-4 stride prefetcher on."""
+    return SystemConfig().replace(
+        prefetcher=PrefetcherConfig(enabled=True, degree=4))
+
+
 def build_report() -> ExperimentReport:
     base = SystemConfig()
-    with_pf = base.replace(prefetcher=PrefetcherConfig(enabled=True, degree=4))
+    with_pf = prefetch_config()
     report = ExperimentReport(
         "F11", "MAPG with and without an L2 stride prefetcher (degree 4)",
         headers=["workload", "prefetcher", "offchip stalls", "speedup",
@@ -71,6 +78,10 @@ def test_f11_prefetch(benchmark):
     # detector catches most but not all of the stream accesses).
     assert rows[("libquantum_like", "on")][2] < \
         0.9 * rows[("libquantum_like", "off")][2]
+    # The prefetcher cells run on the fast kernel, not its oracle fallback.
+    for policy in ("never", "mapg"):
+        fast = FastSimulator(with_policy(prefetch_config(), policy))
+        assert fast.used_fast_path, fast.fallback_reasons
 
 
 if __name__ == "__main__":

@@ -37,10 +37,15 @@ and running means by direct state transplant into the freshly-reset
 objects.  ``Simulator.reset_measurements()`` and ``Simulator.result()``
 then run unmodified, so the result path is shared with the oracle.
 
+The L2 stride prefetcher runs inside the kernel: the real
+:class:`~repro.memory.prefetch.StridePrefetcher` trains at the same call
+point as in the oracle, and its fills replay against the kernel's own
+L2, MSHR and DRAM state in the oracle's order.
+
 Fallback: configurations the kernel does not replicate (miss-window
-cores, prefetchers, non-LRU replacement, shared DRAM, token arbiters,
-timeline recording, attached span recorders) transparently run the
-oracle on the reconstructed op stream; see ``fallback_reasons``.
+cores, non-LRU replacement, shared DRAM, token arbiters, timeline
+recording, attached span recorders) transparently run the oracle on the
+reconstructed op stream; see ``fallback_reasons``.
 Policies other than Never/Mapg/AdaptiveMapg (or non-table predictors)
 still take the batched memory path but call the real
 ``MapgController.process_stall`` per off-chip stall.
@@ -84,7 +89,8 @@ _L1_ACC, _L1_WR, _L1_HIT, _L1_MISS, _L1_WB = range(6, 11)
 _L2_ACC, _L2_WR, _L2_HIT, _L2_MISS, _L2_WB = range(11, 16)
 (_D_ACC, _D_ROW_HIT, _D_ROW_CLOSED, _D_ROW_CONFLICT, _D_WR, _D_BUF_WR,
  _D_DRAIN, _D_REFRESH) = range(16, 24)
-_MC_SLOTS = 24
+_PF_REDUNDANT, _PF_DROPPED, _PF_FILLS, _PF_USEFUL, _PF_LATE = range(24, 29)
+_MC_SLOTS = 29
 
 _MISSING = object()
 
@@ -135,16 +141,6 @@ class FastSimulator:
             # mapglint: twin-exempt=dependence_stalls,overlapped_misses
             # mapglint: twin-exempt=hidden_misses
             reasons.append("miss_window > 1 (WindowedCore)")
-        if self.sim.hierarchy.prefetcher is not None:
-            # The whole prefetcher subsystem sits outside the fast
-            # envelope: its config knobs and counters never occur on a
-            # fast-path run because this check falls back first.
-            # mapglint: twin-exempt=table_entries,max_stride_bytes
-            # mapglint: twin-exempt=confirmations,useful_prefetches
-            # mapglint: twin-exempt=late_prefetches,prefetch_redundant
-            # mapglint: twin-exempt=prefetch_dropped,prefetch_fills
-            # mapglint: twin-exempt=trained,triggers,issued
-            reasons.append("prefetcher enabled")
         if config.l1.replacement != "lru":
             reasons.append(f"l1 replacement {config.l1.replacement!r}")
         if config.l2.replacement != "lru":
@@ -236,6 +232,13 @@ class FastSimulator:
         self._d_busy: List[float] = [0.0] * nbanks
         self._d_act: List[float] = [-1e18] * nbanks
         self._d_debt: List[float] = [0.0] * nbanks
+        # Stride prefetcher: the real table trains in place (so it carries
+        # across the warmup/measure boundary); prefetched L2 blocks are
+        # tracked here, bounded as in the oracle, for useful/late counts.
+        hierarchy = sim.hierarchy
+        self._prefetcher = hierarchy.prefetcher
+        self._pf_blocks: Dict[int, None] = {}
+        self._pf_limit = hierarchy._PREFETCH_TRACK_LIMIT
         # Histogram edge tables (identical floats to the oracle's, taken
         # from freshly built instances).
         self._sh_edges = list(
@@ -388,7 +391,10 @@ class FastSimulator:
         bisect = bisect_right
         c2ns = cycles_to_ns
         wb_l2 = self._wb_l2
-        dram_write = self._dram_write
+        dram_access = self._dram_access
+        prefetcher = self._prefetcher
+        pf_fill = self._fill_prefetches
+        pf_blocks = self._pf_blocks
         mlp_on = self._mlp_overlap > 0.0
         mlp_factor = self._mlp_factor
 
@@ -562,6 +568,11 @@ class FastSimulator:
                         for k in [k for k, f in l2m.items() if f <= issue]:
                             del l2m[k]
                         l2m_min = min(l2m.values()) if l2m else _INF
+                if prefetcher is not None:
+                    # The oracle trains before its L2 lookup, at `issue`.
+                    targets = prefetcher.train(pc, addr)
+                    if targets:
+                        l2m_min = pf_fill(targets, issue, l2m_min)
                 fill2 = l2m_get(l2_block)
                 l2_idx = l2_block & l2_mask
                 l2_tag = l2_block >> l2_idx_bits
@@ -573,6 +584,10 @@ class FastSimulator:
                     # still runs for its side effects, victim writeback
                     # address discarded (oracle behaviour).
                     n_l2_merge += 1
+                    if pf_blocks and pf_blocks.pop(l2_block, 0) is None:
+                        # The demand caught its own prefetch mid-flight.
+                        mc[_PF_USEFUL] += 1
+                        mc[_PF_LATE] += 1
                     if dirty2 is not _MISSING:
                         n_l2_hit += 1
                         l2set[l2_tag] = dirty2
@@ -587,6 +602,8 @@ class FastSimulator:
                 elif dirty2 is not _MISSING:
                     # L2 hit (demand reads never dirty the line).
                     n_l2_hit += 1
+                    if pf_blocks and pf_blocks.pop(l2_block, 0) is None:
+                        mc[_PF_USEFUL] += 1
                     l2set[l2_tag] = dirty2
                     below = l2_lat
                     off = False
@@ -684,7 +701,7 @@ class FastSimulator:
                         l2m_min = fillc2
                     if wb2 is not None:
                         h_wb += 1
-                        dram_write(wb2, issue2)
+                        dram_access(wb2, issue2, True)
                     off = True
 
                 total = wait1 + l1_lat + below
@@ -1026,7 +1043,12 @@ class FastSimulator:
             ("l1_mshr_stalls", mc[_H_L1_STALL]),
             ("l2_mshr_merges", mc[_H_L2_MERGE]),
             ("l2_mshr_stalls", mc[_H_L2_STALL]),
-            ("writebacks", mc[_H_WB])))
+            ("writebacks", mc[_H_WB]),
+            ("prefetch_redundant", mc[_PF_REDUNDANT]),
+            ("prefetch_dropped", mc[_PF_DROPPED]),
+            ("prefetch_fills", mc[_PF_FILLS]),
+            ("useful_prefetches", mc[_PF_USEFUL]),
+            ("late_prefetches", mc[_PF_LATE])))
         self._flush_counters(hierarchy.l1.counters, (
             ("accesses", mc[_L1_ACC]), ("writes", mc[_L1_WR]),
             ("hits", mc[_L1_HIT]), ("misses", mc[_L1_MISS]),
@@ -1092,8 +1114,8 @@ class FastSimulator:
             if count:
                 add(name, count)
 
-    # ---- rare-path descents (victim writebacks only; the demand path is
-    # fully inlined in _replay) --------------------------------------------------
+    # ---- rare-path descents (victim writebacks and prefetch fills; the
+    # demand path is fully inlined in _replay) -----------------------------------
 
     def _l2_tag_access(self, addr: int,
                        is_write: bool) -> Tuple[bool, Optional[int]]:
@@ -1127,14 +1149,55 @@ class FastSimulator:
         hit, wb = self._l2_tag_access(addr, True)
         if not hit and wb is not None:
             self._mc[_H_WB] += 1
-            self._dram_write(wb, issue)
+            self._dram_access(wb, issue, True)
 
-    def _dram_write(self, addr: int, at: int) -> None:
-        """Inlined ``Dram.access`` for a writeback issued at cycle ``at``.
+    def _fill_prefetches(self, targets: List[int], cycle: int,
+                         l2m_min: float) -> float:
+        """Inlined ``MemoryHierarchy._run_prefetcher`` fill path at ``cycle``.
 
-        The oracle's writeback path discards the returned latency, so only
-        bank-state mutation, counters, and (for unbuffered writes) the
-        latency histogram matter.  Histogram stats go through the shared
+        The replay loop has already expired the L2 MSHRs at ``cycle``, as
+        the oracle's redundant-check lookup does, and every fill lands
+        after ``cycle``, so membership tests stand in for its lookups and
+        a full file means a drop.  Returns the updated minimum fill cycle
+        of the L2 MSHRs (the replay loop keeps it in a local).
+        """
+        mc = self._mc
+        l2m = self._l2m
+        l2_off = self._l2_off
+        pf_blocks = self._pf_blocks
+        for target in targets:
+            block = target >> l2_off
+            if ((block >> self._l2_idx_bits) in self._l2_sets[
+                    block & self._l2_mask] or block in l2m):
+                mc[_PF_REDUNDANT] += 1
+                continue
+            if len(l2m) >= self._l2_cap:
+                mc[_PF_DROPPED] += 1
+                continue
+            line = block << l2_off
+            dlat = self._dram_access(line, cycle, False)
+            fill = cycle + int(math.ceil(
+                dlat * NS * self._freq - CYCLE_CEIL_EPSILON))
+            l2m[block] = fill
+            if fill < l2m_min:
+                l2m_min = fill
+            # A dirty victim goes straight to DRAM (no hierarchy
+            # writeback count, as in the oracle).
+            __, wb = self._l2_tag_access(line, False)
+            if wb is not None:
+                self._dram_access(wb, cycle, True)
+            mc[_PF_FILLS] += 1
+            if len(pf_blocks) >= self._pf_limit:
+                del pf_blocks[next(iter(pf_blocks))]
+            pf_blocks[block] = None
+        return l2m_min
+
+    def _dram_access(self, addr: int, at: int, is_write: bool) -> float:
+        """Inlined ``Dram.access`` issued at cycle ``at``; returns ns.
+
+        Serves the rare paths: victim writebacks (whose latency the oracle
+        discards, so only bank state, counters and the histogram matter)
+        and prefetch reads.  Histogram stats go through the shared
         ``_dh_counts`` / ``_dh_stats`` accumulators so observations from
         this rare path interleave with the replay loop's demand reads in
         oracle (chronological) order.
@@ -1159,16 +1222,17 @@ class FastSimulator:
             debt[bank] -= drained
             busy[bank] += drained
         mc[_D_ACC] += 1
-        mc[_D_WR] += 1
-        if self._d_wbpb > 0:
-            debt[bank] += self._d_wserv_ns
-            mc[_D_BUF_WR] += 1
-            if debt[bank] > self._d_wcap_ns:
-                start = arrival if arrival > busy[bank] else busy[bank]
-                busy[bank] = start + debt[bank]
-                debt[bank] = 0.0
-                mc[_D_DRAIN] += 1
-            return
+        if is_write:
+            mc[_D_WR] += 1
+            if self._d_wbpb > 0:
+                debt[bank] += self._d_wserv_ns
+                mc[_D_BUF_WR] += 1
+                if debt[bank] > self._d_wcap_ns:
+                    start = arrival if arrival > busy[bank] else busy[bank]
+                    busy[bank] = start + debt[bank]
+                    debt[bank] = 0.0
+                    mc[_D_DRAIN] += 1
+                return (arrival - now) + 1.0  # buffer accept
         queue_wait = busy[bank] - arrival
         if queue_wait < 0.0:
             queue_wait = 0.0
@@ -1207,3 +1271,4 @@ class FastSimulator:
             stats[2] = dlat
         if dlat > stats[3]:
             stats[3] = dlat
+        return dlat

@@ -32,7 +32,7 @@ Deliberate envelope exclusions — oracle behaviour the fast engine
 *refuses* rather than reproduces — are documented in source with a
 definition-line pragma::
 
-    reasons.append("prefetcher enabled")  # mapglint: twin-exempt=degree
+    reasons.append("miss_window > 1")  # mapglint: twin-exempt=hidden_misses
 
 which removes the named field/tag/key from the drift sets, leaving a
 greppable record of the decision next to the check that implements it.

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.config import PrefetcherConfig
-from repro.stats import CounterSet
 
 __all__ = ["PrefetcherConfig", "StridePrefetcher"]
 
@@ -43,18 +42,15 @@ class StridePrefetcher:
     def __init__(self, config: PrefetcherConfig) -> None:
         self.config = config
         self._table: Dict[int, _StrideEntry] = {}
-        self.counters = CounterSet()
 
     def _entry(self, pc: int) -> _StrideEntry:
         # Knuth multiplicative hash, taking the *high* bits (the low bits
         # preserve input congruences), so nearby PCs land in distinct slots.
         product = (pc >> 2) * 2654435761 & 0xFFFF_FFFF
         index = (product >> 16) % self.config.table_entries
+        # Direct-mapped: PCs that alias share (and retrain) one slot.
         entry = self._table.get(index)
         if entry is None:
-            if len(self._table) >= self.config.table_entries:
-                # Direct-mapped behaviour: evict whatever aliases.
-                self._table.pop(next(iter(self._table)))
             entry = _StrideEntry()
             self._table[index] = entry
         return entry
@@ -66,7 +62,6 @@ class StridePrefetcher:
         to do with them (the hierarchy fills them into L2).
         """
         entry = self._entry(pc)
-        self.counters.add("trained")
         if not entry.valid:
             entry.last_address = address
             entry.valid = True
@@ -86,8 +81,6 @@ class StridePrefetcher:
             return []
         if entry.confidence < self.config.confirmations:
             return []
-        self.counters.add("triggers")
         prefetches = [address + stride * (i + 1)
                       for i in range(self.config.degree)]
-        self.counters.add("issued", len(prefetches))
         return [p for p in prefetches if p >= 0]

@@ -323,8 +323,6 @@ class Simulator:
         self.hierarchy.dram.counters = CounterSet()
         self.hierarchy.dram.latency_histogram = Histogram.exponential(
             low=10.0, factor=1.3, buckets=24, keep_samples=False)
-        if self.hierarchy.prefetcher is not None:
-            self.hierarchy.prefetcher.counters = CounterSet()
 
     def run(self, ops: Iterable) -> SimulationResult:
         """Replay ``ops`` to completion and return the measurements."""

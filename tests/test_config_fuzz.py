@@ -3,9 +3,13 @@
 Hypothesis draws structurally-valid system configurations across the whole
 feature matrix and runs a short trace through each; whatever the
 combination, the accounting invariants must hold and nothing may raise.
+The same configurations drive a differential property: the fast engine's
+result is canonical-JSON identical to the oracle's, and the kernel engages
+exactly on the configurations inside its envelope.
 """
 
 import dataclasses
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,11 +21,13 @@ from repro.config import (
     PrefetcherConfig,
     SystemConfig,
 )
+from repro.fastsim import ColumnarTrace, FastSimulator
 from repro.sim.simulator import Simulator
 from repro.workloads import generate_trace
 
 _TRACE = generate_trace("gcc_like", 400, seed=31)
 _HEAVY_TRACE = generate_trace("mcf_like", 400, seed=31)
+_COLUMNS = {False: ColumnarTrace(_TRACE), True: ColumnarTrace(_HEAVY_TRACE)}
 
 
 @st.composite
@@ -72,3 +78,23 @@ def test_any_valid_config_simulates_cleanly(config, heavy):
     assert result.instructions > 0
     # JSON round-trip of whatever config hypothesis built.
     assert SystemConfig.from_json(config.to_json()) == config
+
+
+def _canonical(result):
+    return json.dumps(dataclasses.asdict(result), sort_keys=True)
+
+
+@given(config=system_configs(), heavy=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_fast_engine_matches_oracle_on_any_config(config, heavy):
+    oracle = Simulator(config, workload="fuzz").run(
+        _HEAVY_TRACE if heavy else _TRACE)
+    fast = FastSimulator(config, workload="fuzz")
+    result = fast.run(_COLUMNS[heavy])
+    assert _canonical(result) == _canonical(oracle)
+    # The envelope: a blocking core and LRU caches.  The prefetcher, the
+    # MLP overlap and every gating knob run inside the kernel.
+    in_envelope = (config.core.miss_window == 1
+                   and config.l1.replacement == "lru"
+                   and config.l2.replacement == "lru")
+    assert fast.used_fast_path == in_envelope, fast.fallback_reasons

@@ -3,10 +3,11 @@
 ``repro.fastsim`` promises results **byte-identical** to the event-driven
 oracle — same energy ledger floats, same histogram moments, same
 controller counters — not "close".  These tests sweep the whole workload
-profile x policy matrix (cold and warmed up), push fast-engine cells
-through the SweepRunner at ``jobs`` 1 and 4, and fuzz randomized segment
-traces, comparing the canonical JSON of every ``SimulationResult`` field.
-Any diff is a kernel bug by definition.
+profile x policy matrix (cold and warmed up, with and without the L2
+stride prefetcher), push fast-engine cells through the SweepRunner at
+``jobs`` 1, 2 and 4, and fuzz randomized segment traces, comparing the
+canonical JSON of every ``SimulationResult`` field.  Any diff is a kernel
+bug by definition.
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ import random
 
 import pytest
 
-from repro.config import SystemConfig
+from repro.config import PrefetcherConfig, SystemConfig
 from repro.core.crosscheck import crosscheck_engines, verify_engines
 from repro.errors import ConfigError
 from repro.exec import JobSpec, SweepRunner
@@ -23,7 +24,7 @@ from repro.fastsim import ColumnarTrace, FastSimulator, validate_engine
 from repro.sim.runner import run_workload, with_policy
 from repro.sim.simulator import Simulator
 from repro.trace.format import ComputeBlock, MemoryAccess
-from repro.workloads import profile_names
+from repro.workloads import generate_trace, profile_names
 
 POLICIES = ("never", "naive", "bet_guard", "mapg", "mapg_adaptive", "oracle")
 
@@ -94,6 +95,173 @@ class TestThroughSweepRunner:
     def test_parallel_fast_equals_serial_oracle(self):
         oracle = SweepRunner(jobs=1).run(self._specs("oracle"))
         fast = SweepRunner(jobs=4).run(self._specs("fast"))
+        assert [canonical(r) for r in fast] == \
+            [canonical(r) for r in oracle]
+
+
+def prefetching(degree=2, prefetcher=None, **overrides):
+    """The default system with the L2 stride prefetcher switched on.
+
+    ``prefetcher`` holds extra ``PrefetcherConfig`` fields; every other
+    keyword names a ``SystemConfig`` section and the fields to change.
+    """
+    base = SystemConfig()
+    return base.replace(
+        prefetcher=PrefetcherConfig(enabled=True, degree=degree,
+                                    **(prefetcher or {})),
+        **{name: dataclasses.replace(getattr(base, name), **fields)
+           for name, fields in overrides.items()})
+
+
+def stride_stream(stride, count, pc=0x400100, gap=3, write_every=0):
+    """One PC walking memory at a fixed stride, ``gap`` instructions apart."""
+    ops = []
+    for i in range(count):
+        ops.append(MemoryAccess(
+            address=0x100000 + stride * i, pc=pc,
+            is_write=bool(write_every) and i % write_every == 0,
+            dependent=False))
+        ops.append(ComputeBlock(instructions=gap))
+    return ops
+
+
+def prefetch_victim_writes(config, ops):
+    """Oracle run counting the DRAM writes issued by prefetch fills.
+
+    A prefetch that evicts a dirty L2 line writes it straight to DRAM
+    without a hierarchy ``writebacks`` count, so no result field isolates
+    that branch; this spy on the oracle's fill path does.
+    """
+    sim = Simulator(config, workload="spy", seed=1)
+    hierarchy = sim.hierarchy
+    real = hierarchy._run_prefetcher
+    writes = []
+
+    def spy(pc, address, cycle):
+        before = hierarchy.dram.counters.get("writes")
+        real(pc, address, cycle)
+        writes.append(hierarchy.dram.counters.get("writes") - before)
+
+    hierarchy._run_prefetcher = spy
+    sim.run(iter(ops))
+    return sum(writes)
+
+
+def prefetches_found_in_flight_only(config, profile, num_ops, seed):
+    """Oracle run counting prefetch targets that only the L2 MSHRs hold.
+
+    Such a line is still in flight but already evicted from its L2 set,
+    so the redundant check needs its MSHR half to catch it.  The spy
+    pairs each missing ``probe`` of the fill path with the MSHR lookup
+    that follows it.
+    """
+    sim = Simulator(config, workload=profile, seed=1)
+    probe = sim.hierarchy.l2.probe
+    lookup = sim.hierarchy.l2_mshr.lookup
+    state = {"missed": None, "in_flight_only": 0}
+
+    def spy_probe(line):
+        found = probe(line)
+        state["missed"] = None if found else line
+        return found
+
+    def spy_lookup(line, cycle):
+        entry = lookup(line, cycle)
+        if entry is not None and state["missed"] == line:
+            state["in_flight_only"] += 1
+        state["missed"] = None
+        return entry
+
+    sim.hierarchy.l2.probe = spy_probe
+    sim.hierarchy.l2_mshr.lookup = spy_lookup
+    sim.run(generate_trace(profile, num_ops, seed=seed))
+    return state["in_flight_only"]
+
+
+class TestPrefetcher:
+    """The stride prefetcher runs inside the kernel, oracle-identical."""
+
+    @pytest.mark.parametrize("degree", (1, 4))
+    @pytest.mark.parametrize("profile", profile_names())
+    def test_every_profile_cold_and_warmed(self, profile, degree):
+        config = prefetching(degree)
+        assert FastSimulator(config).used_fast_path
+        for policy in ("never", "mapg", "mapg_adaptive", "oracle"):
+            for warmup in (0, 300):
+                assert_identical(with_policy(config, policy), profile, 1200,
+                                 seed=3, warmup_ops=warmup)
+
+    # Each case forces one branch of the fill path and names the counter
+    # that proves the branch ran; the tests below force the rest.
+    FORCING = {
+        "aliasing_table": (dict(prefetcher=dict(table_entries=1)),
+                           "prefetch_redundant"),
+        "one_l2_mshr": (dict(l2=dict(mshr_entries=1)), "prefetch_dropped"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FORCING))
+    def test_forced_branch(self, case):
+        overrides, counter = self.FORCING[case]
+        config = prefetching(4, **overrides)
+        seen = 0
+        for profile in ("libquantum_like", "lbm_like", "gcc_like"):
+            for policy in ("never", "mapg"):
+                cfg = with_policy(config, policy)
+                oracle = run_workload(cfg, profile, 1500, seed=5,
+                                      warmup_ops=300, engine="oracle")
+                fast = run_workload(cfg, profile, 1500, seed=5,
+                                    warmup_ops=300, engine="fast")
+                assert canonical(fast) == canonical(oracle), \
+                    f"diverged on {case}/{profile}/{policy}"
+                seen += oracle.memory_counters.get(counter, 0)
+        assert seen > 0, f"{case} never reached {counter}"
+
+    def test_dirty_prefetch_victims(self):
+        # Every fourth access of a 64 B-stride stream writes, so L1
+        # victims leave dirty lines in a tiny L2 that prefetch fills then
+        # evict straight to DRAM.
+        config = with_policy(prefetching(
+            4, l2=dict(size_bytes=16 * 1024, associativity=2)), "mapg")
+        ops = stride_stream(64, 3000, gap=20, write_every=4) + \
+            stride_stream(64, 3000, gap=20, write_every=4)
+        assert prefetch_victim_writes(config, ops) > 0
+        oracle = Simulator(config, workload="spy", seed=1).run(iter(ops))
+        fast = FastSimulator(config, workload="spy", seed=1).run(
+            ColumnarTrace(ops))
+        assert oracle.memory_counters.get("prefetch_fills", 0) > 0
+        assert canonical(fast) == canonical(oracle)
+
+    def test_in_flight_line_evicted_from_l2(self):
+        # A 2-way 16 KiB L2 under lbm_like's streams evicts lines whose
+        # fills are still in flight; prefetches to them are redundant.
+        config = with_policy(prefetching(
+            4, l2=dict(size_bytes=16 * 1024, associativity=2)), "never")
+        assert prefetches_found_in_flight_only(
+            config, "lbm_like", 1500, seed=5) > 0
+        assert_identical(config, "lbm_like", 1500, seed=5)
+
+    def test_late_prefetch_merge(self):
+        # A 16 B stride reaches the prefetched next line a few cycles
+        # after its fill issued: the demand merges into the prefetch.
+        config = with_policy(prefetching(1), "mapg")
+        ops = stride_stream(16, 600)
+        oracle = Simulator(config, workload="stream", seed=1).run(iter(ops))
+        fast = FastSimulator(config, workload="stream", seed=1).run(
+            ColumnarTrace(ops))
+        for counter in ("useful_prefetches", "late_prefetches"):
+            assert oracle.memory_counters.get(counter, 0) > 0, counter
+        assert canonical(fast) == canonical(oracle)
+
+    def test_pooled_sweep_equals_serial_oracle(self):
+        specs = [JobSpec(config=with_policy(prefetching(degree), policy),
+                         profile=profile, num_ops=1200, seed=7,
+                         warmup_ops=warmup)
+                 for profile in ("libquantum_like", "mcf_like")
+                 for policy in ("never", "mapg")
+                 for degree, warmup in ((1, 0), (4, 300))]
+        oracle = SweepRunner(jobs=1).run(
+            [dataclasses.replace(spec, engine="oracle") for spec in specs])
+        fast = SweepRunner(jobs=2).run(specs)
         assert [canonical(r) for r in fast] == \
             [canonical(r) for r in oracle]
 

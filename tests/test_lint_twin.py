@@ -124,12 +124,12 @@ class TestTwinExtraction:
 
     def test_twin_exempt_pragma_parses_lists(self):
         source = textwrap.dedent("""
-            # The kernel refuses prefetchers wholesale:
-            # mapglint: twin-exempt=trained, triggers
-            reasons.append("prefetcher enabled")  # mapglint: twin-exempt=issued
+            # The kernel refuses MLP cores wholesale:
+            # mapglint: twin-exempt=dependence_stalls, overlapped_misses
+            reasons.append("miss_window > 1")  # mapglint: twin-exempt=hidden_misses
         """)
         assert {name for name, _ in parse_twin_exemptions(source)} == \
-            {"trained", "triggers", "issued"}
+            {"dependence_stalls", "overlapped_misses", "hidden_misses"}
 
 
 class TestClosures:

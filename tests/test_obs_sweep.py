@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.config import SystemConfig
+from repro.config import PrefetcherConfig, SystemConfig
 from repro.errors import SweepError
 from repro.exec import JobSpec, ResultCache, SweepRunner, result_to_dict
 from repro.obs import read_jsonl
@@ -373,6 +373,25 @@ class TestEngineTelemetry:
         broken["counters"]["fallback_reasons"]["invented reason"] = 2
         assert any("counters.fallback_reasons" in problem
                    for problem in validate_sweep_manifest(broken))
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_prefetcher_cells_take_the_fast_path(self, jobs):
+        config = SystemConfig().replace(
+            prefetcher=PrefetcherConfig(enabled=True, degree=4))
+        specs = [JobSpec(config=with_policy(config, policy),
+                         profile="libquantum_like", num_ops=200, seed=3)
+                 for policy in ("never", "mapg")]
+        recorder = SweepRecorder()
+        SweepRunner(jobs=jobs, recorder=recorder).run(specs)
+        counters = recorder.summary()
+        assert counters["engines"] == {"oracle": 0, "fast": 2,
+                                       "fast_fallback": 0}
+        assert counters["fallback_reasons"] == {}
+        manifest = recorder.manifest()
+        assert validate_sweep_manifest(manifest) == []
+        assert [(record["engine"], record["fallback_reasons"])
+                for record in manifest["cells"].values()] == \
+            [("fast", [])] * 2
 
     def test_manifest_without_engine_counters_still_validates(self):
         """Forward compatibility: pre-telemetry manifests stay valid."""
