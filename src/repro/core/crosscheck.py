@@ -158,7 +158,7 @@ def crosscheck_engines(config: Any, profile_name: str, num_ops: int,
 
     oracle = run_workload(config, profile_name, num_ops, seed=seed,
                           temperature_c=temperature_c,
-                          warmup_ops=warmup_ops)
+                          warmup_ops=warmup_ops, engine="oracle")
     result, telemetry = _dispatch_cell(
         config, profile_name, num_ops, seed=seed, temperature_c=temperature_c,
         warmup_ops=warmup_ops, engine="fast")

@@ -9,29 +9,19 @@ rule has to know about it.
 from __future__ import annotations
 
 import ast
-import re
 from typing import Dict, FrozenSet, List, Optional, Tuple, Type
 
 from repro.lint.findings import Finding, Severity
-
-_DISABLE_RE = re.compile(r"#\s*mapglint:\s*disable=([A-Za-z0-9_,\s]+)")
-
+from repro.lint.project.source import is_suppressed, read_pragmas
 
 def parse_suppressions(source: str) -> Dict[int, FrozenSet[str]]:
     """Per-line ``# mapglint: disable=RULE[,RULE…]`` pragmas of a module.
 
     Shared by :class:`FileContext` (per-file rules) and the project
     summaries (interprocedural rules), so both suppression paths agree.
+    Only comments count (:func:`~repro.lint.project.source.read_pragmas`).
     """
-    suppressions: Dict[int, FrozenSet[str]] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = _DISABLE_RE.search(line)
-        if match:
-            rules = frozenset(
-                part.strip().upper()
-                for part in match.group(1).split(",") if part.strip())
-            suppressions[lineno] = rules
-    return suppressions
+    return read_pragmas(source).disable
 
 
 class FileContext:
@@ -47,10 +37,7 @@ class FileContext:
         self._suppressions = parse_suppressions(source)
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
-        rules = self._suppressions.get(line)
-        if rules is None:
-            return False
-        return rule_id.upper() in rules or "ALL" in rules
+        return is_suppressed(self._suppressions, rule_id, line)
 
     def line_text(self, line: int) -> str:
         if 1 <= line <= len(self.lines):

@@ -60,25 +60,25 @@ def concurrent_roots(model: ProjectModel) -> List[ConcurrentRoot]:
         for spawn in effects.spawn_sites:
             if spawn.worker_kind != "name":
                 continue
-            candidates = model.resolve(spawn.worker_name)
-            if len(candidates) != 1:
+            worker = model.resolve_unique(spawn.worker_name)
+            if worker is None:
                 continue
             roots.append(ConcurrentRoot(
                 kind=spawn.kind, api=spawn.api,
                 worker_name=spawn.worker_name,
-                worker_qualname=candidates[0].qualname,
+                worker_qualname=worker.qualname,
                 path=summary.path, line=spawn.line, col=spawn.col,
                 line_text=spawn.line_text))
         for submission in effects.pool_submissions:
             if submission.worker_kind != "name":
                 continue
-            candidates = model.resolve(submission.worker_name)
-            if len(candidates) != 1:
+            worker = model.resolve_unique(submission.worker_name)
+            if worker is None:
                 continue
             roots.append(ConcurrentRoot(
                 kind="pool", api=submission.method,
                 worker_name=submission.worker_name,
-                worker_qualname=candidates[0].qualname,
+                worker_qualname=worker.qualname,
                 path=summary.path, line=submission.line,
                 col=submission.col, line_text=submission.line_text))
     return roots

@@ -10,7 +10,8 @@ exact source site as evidence.  Phase 2 (:class:`EffectPropagator`)
 closes those local facts transitively over the resolved call graph with a
 fixpoint over the effect lattice (a powerset lattice: union is the join,
 the bottom element is the empty set, and every transfer function is
-monotone, so the fixpoint exists and is reached in finitely many sweeps).
+monotone, so the least fixpoint exists; :mod:`repro.lint.project.solver`
+computes it).
 
 Effects are what turn the execution engine's correctness assumptions into
 machine-checked facts:
@@ -96,7 +97,8 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.lint.project.dimensions import dotted_name
-from repro.lint.project.source import line_text, source_repr
+from repro.lint.project.solver import CallEdge, bfs, least_fixpoint, path_to
+from repro.lint.project.source import line_text, read_pragmas, source_repr
 
 #: Bump when the effect-summary layout or inference changes; folded into
 #: the result-cache key (see :mod:`repro.lint.cache`) so upgrading the
@@ -367,13 +369,6 @@ class ModuleEffects:
 
 # ---- detection tables ------------------------------------------------------
 
-_DECLARED_CACHE_RE = re.compile(r"#\s*mapglint:\s*declared-cache\b")
-
-_ERROR_BOUNDARY_RE = re.compile(r"#\s*mapglint:\s*error-boundary\b")
-
-_GUARDED_BY_RE = re.compile(
-    r"#\s*mapglint:\s*guarded-by=([A-Za-z_][A-Za-z0-9_.]*)")
-
 #: Constructors whose result is a lock object.
 _LOCK_FACTORIES = frozenset({"Lock", "RLock", "Condition", "Semaphore",
                              "BoundedSemaphore"})
@@ -448,34 +443,6 @@ _MUTABLE_VALUE_NODES = (ast.Dict, ast.List, ast.Set, ast.ListComp,
 
 _MUTABLE_FACTORIES = frozenset({"dict", "list", "set", "defaultdict",
                                 "OrderedDict", "deque", "Counter"})
-
-
-def parse_declared_caches(source: str) -> Set[int]:
-    """Line numbers carrying a ``# mapglint: declared-cache`` pragma."""
-    lines: Set[int] = set()
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        if _DECLARED_CACHE_RE.search(line):
-            lines.add(lineno)
-    return lines
-
-
-def parse_guarded_pragmas(source: str) -> Dict[int, str]:
-    """``line -> lock`` for every ``# mapglint: guarded-by=<lock>`` pragma."""
-    pragmas: Dict[int, str] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = _GUARDED_BY_RE.search(line)
-        if match:
-            pragmas[lineno] = match.group(1)
-    return pragmas
-
-
-def parse_error_boundaries(source: str) -> Set[int]:
-    """Line numbers carrying a ``# mapglint: error-boundary`` pragma."""
-    lines: Set[int] = set()
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        if _ERROR_BOUNDARY_RE.search(line):
-            lines.add(lineno)
-    return lines
 
 
 def is_lock_name(dotted: str) -> bool:
@@ -1473,9 +1440,10 @@ def extract_module_effects(path: str, source: str,
     """Phase 1: the :class:`ModuleEffects` record for one parsed module."""
     norm = path.replace("\\", "/")
     lines = source.splitlines()
-    declared_lines = parse_declared_caches(source)
-    guard_pragmas = parse_guarded_pragmas(source)
-    boundary_lines = parse_error_boundaries(source)
+    pragmas = read_pragmas(source)
+    declared_lines = pragmas.declared_cache
+    guard_pragmas = pragmas.guarded_by
+    boundary_lines = pragmas.error_boundary
 
     # Module-level bindings: which names hold mutable containers, which
     # definitions carry the declared-cache pragma.
@@ -1705,9 +1673,9 @@ class EffectPropagator:
 
     Edges follow the agreement rule: a call contributes its callee's
     transitive effects only when the bare name resolves to **exactly one**
-    definition.  The transfer function is set union — monotone over the
-    powerset lattice of ``(origin, effect)`` pairs — so repeated sweeps
-    reach the least fixpoint, cycles included.
+    definition.  The transfer function is set union over the powerset
+    lattice of ``(origin, effect)`` pairs, solved by
+    :func:`~repro.lint.project.solver.least_fixpoint`.
     """
 
     def __init__(self, model: "object") -> None:
@@ -1721,65 +1689,30 @@ class EffectPropagator:
                 local[info.qualname] = frozenset(
                     ReachedEffect(origin=info.qualname, effect=effect)
                     for effect in info.effects)
-        edges: Dict[str, Tuple[str, ...]] = {}
-        for summary in model.summaries:  # type: ignore[attr-defined]
-            for info in summary.functions:
-                targets: List[str] = []
-                for call in info.calls:
-                    candidates = model.resolve(call.name)  # type: ignore[attr-defined]
-                    if len(candidates) == 1:
-                        targets.append(candidates[0].qualname)
-                edges[info.qualname] = tuple(dict.fromkeys(targets))
-        self._edges = edges
-        self._transitive = self._fixpoint(local, edges)
-
-    @staticmethod
-    def _fixpoint(local: Dict[str, FrozenSet[ReachedEffect]],
-                  edges: Dict[str, Tuple[str, ...]]
-                  ) -> Dict[str, FrozenSet[ReachedEffect]]:
-        state: Dict[str, Set[ReachedEffect]] = {
-            qualname: set(local.get(qualname, frozenset()))
-            for qualname in sorted(set(edges) | set(local))}
-        changed = True
-        while changed:
-            changed = False
-            for qualname in sorted(state):
-                current = state[qualname]
-                before = len(current)
-                for callee in edges.get(qualname, ()):
-                    reached = state.get(callee)
-                    if reached:
-                        current |= reached
-                if len(current) != before:
-                    changed = True
-        return {qualname: frozenset(reached)
-                for qualname, reached in state.items()}
+        self._edges: Dict[str, Tuple[CallEdge, ...]] = \
+            model.edges  # type: ignore[attr-defined]
+        self._transitive = least_fixpoint(
+            local, self._edges, lambda caller, edge, fact: edge.unique)
 
     def transitive(self, qualname: str) -> FrozenSet[ReachedEffect]:
         """Every ``(origin, effect)`` reachable from ``qualname``."""
         return self._transitive.get(qualname, frozenset())
 
+    def reached(self, qualname: str) -> List[ReachedEffect]:
+        """:meth:`transitive` in report order: origin, kind, line, column."""
+        return sorted(self.transitive(qualname), key=lambda r: (
+            r.origin, r.effect.kind, r.effect.line, r.effect.col))
+
     def call_path(self, root: str, origin: str) -> List[str]:
         """A shortest root→origin chain over the propagated edges."""
         if root == origin:
             return [root]
-        parents: Dict[str, str] = {root: ""}
-        frontier = [root]
-        while frontier:
-            next_frontier: List[str] = []
-            for qualname in frontier:
-                for callee in self._edges.get(qualname, ()):
-                    if callee in parents:
-                        continue
-                    parents[callee] = qualname
-                    if callee == origin:
-                        chain = [callee]
-                        while parents[chain[-1]]:
-                            chain.append(parents[chain[-1]])
-                        return list(reversed(chain))
-                    next_frontier.append(callee)
-            frontier = next_frontier
-        return [root, origin]
+        parents = bfs([root], lambda caller: (
+            edge.callee for edge in self._edges.get(caller, ())
+            if edge.unique), goal=origin)
+        if parents.get(origin) is None:
+            return [root, origin]
+        return path_to(parents, origin)
 
 
 def format_chain(path_names: List[str]) -> str:

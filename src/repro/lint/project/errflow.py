@@ -13,8 +13,9 @@ handler in F, and "caught at c" consults the handler spans whose try
 body contains the call line.  The domain is the powerset of
 ``(exception type, origin function, raise site)`` triples ordered by
 inclusion; the transfer function is monotone (each handler's caught-type
-filter is a per-site constant, and union only grows), so round-robin
-iteration reaches the least fixpoint, recursion cycles included.
+filter is a per-site constant, and union only grows), so
+:func:`~repro.lint.project.solver.least_fixpoint` reaches the least
+fixpoint, recursion cycles included.
 
 The model deliberately under-approximates:
 
@@ -40,9 +41,10 @@ by ``except OSError``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.lint.project.effects import HandlerInfo, RaiseSite
+from repro.lint.project.solver import CallEdge, bfs, least_fixpoint, path_to
 
 #: Builtin exception -> parent, enough of the CPython hierarchy to answer
 #: every catch a repro module actually writes.  Names not in the table
@@ -107,20 +109,16 @@ class ExceptionHierarchy:
     def __init__(self, project_bases: Dict[str, Tuple[str, ...]]) -> None:
         self._project = dict(project_bases)
 
+    def _parents(self, name: str) -> List[str]:
+        parents = list(self._project.get(name, ()))
+        builtin = _BUILTIN_PARENT.get(name)
+        if builtin is not None:
+            parents.append(builtin)
+        return parents
+
     def ancestors(self, name: str) -> FrozenSet[str]:
         """``name`` plus every ancestor reachable through recorded bases."""
-        seen: Set[str] = set()
-        frontier = [name]
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            frontier.extend(self._project.get(current, ()))
-            parent = _BUILTIN_PARENT.get(current)
-            if parent is not None:
-                frontier.append(parent)
-        return frozenset(seen)
+        return frozenset(bfs([name], self._parents))
 
     def is_subtype(self, name: str, ancestor: str) -> bool:
         return ancestor in self.ancestors(name)
@@ -170,56 +168,38 @@ class ErrorFlow:
             self._boundaries |= effects.error_boundaries
         self.hierarchy = ExceptionHierarchy(project_bases)
         self._handlers = handlers
+        self._edges: Dict[str, Tuple[CallEdge, ...]] = \
+            model.edges  # type: ignore[attr-defined]
 
-        # Call edges with line numbers, through uniquely resolved names.
-        edges: Dict[str, Tuple[Tuple[int, str], ...]] = {}
-        for summary in model.summaries:  # type: ignore[attr-defined]
-            for info in summary.functions:
-                targets: List[Tuple[int, str]] = []
-                for call in info.calls:
-                    candidates = model.resolve(call.name)  # type: ignore[attr-defined]
-                    if len(candidates) == 1:
-                        targets.append((call.line, candidates[0].qualname))
-                edges[info.qualname] = tuple(targets)
-        self._edges = edges
-
-        local: Dict[str, FrozenSet[EscapingRaise]] = {}
+        # Per function, in raise-site order.
+        local: Dict[str, Tuple[EscapingRaise, ...]] = {}
         for qualname, sites in raises.items():
-            escaped = []
-            for site in sites:
-                if site.is_reraise or not site.exc_type:
-                    continue
-                if not self._caught_locally(qualname, site.exc_type,
-                                            site.line):
-                    escaped.append(EscapingRaise(
-                        exc_type=site.exc_type, origin=qualname, site=site))
-            local[qualname] = frozenset(escaped)
+            local[qualname] = tuple(
+                EscapingRaise(exc_type=site.exc_type, origin=qualname,
+                              site=site)
+                for site in sites
+                if not site.is_reraise and site.exc_type and
+                not self.absorbed_at(qualname, site.exc_type, site.line))
         self._local = local
-        self._escaping = self._fixpoint()
+        self._escaping = least_fixpoint(local, self._edges, self._crosses)
 
     # -- handler semantics ---------------------------------------------------
 
-    def _enclosing_handlers(self, qualname: str,
-                            line: int) -> List[HandlerInfo]:
-        """Handlers whose try-body span contains ``line``, innermost last
-        span first is not needed — only the union of what they absorb."""
-        return [handler for handler in self._handlers.get(qualname, ())
-                if handler.try_start <= line <= handler.try_end]
-
-    def _absorbed(self, qualname: str, exc_type: str, line: int) -> bool:
+    def absorbed_at(self, qualname: str, exc_type: str, line: int) -> bool:
         """Whether an exception of ``exc_type`` surfacing at ``line``
         inside ``qualname`` is terminally caught there.
 
-        Handlers of one try are tried in source order; a matching handler
-        that contains a bare ``raise`` lets the exception continue (an
-        outer try may still absorb it).  Grouping is by identical try
-        span, which is exact for distinct tries in one function.
+        Only handlers whose try body spans ``line`` count.  Handlers of
+        one try are tried in source order; a matching handler that
+        contains a bare ``raise`` lets the exception continue (an outer
+        try may still absorb it).  Grouping is by identical try span,
+        which is exact for distinct tries in one function.
         """
-        enclosing = self._enclosing_handlers(qualname, line)
         by_span: Dict[Tuple[int, int], List[HandlerInfo]] = {}
-        for handler in enclosing:
-            by_span.setdefault(
-                (handler.try_start, handler.try_end), []).append(handler)
+        for handler in self._handlers.get(qualname, ()):
+            if handler.try_start <= line <= handler.try_end:
+                by_span.setdefault(
+                    (handler.try_start, handler.try_end), []).append(handler)
         # Inner spans first: contained spans sort after by start line.
         for span in sorted(by_span, key=lambda s: (-s[0], s[1])):
             for handler in sorted(by_span[span], key=lambda h: h.line):
@@ -229,36 +209,12 @@ class ErrorFlow:
                     return True
         return False
 
-    def _caught_locally(self, qualname: str, exc_type: str,
-                        line: int) -> bool:
-        return self._absorbed(qualname, exc_type, line)
-
-    # -- the fixpoint --------------------------------------------------------
-
-    def _transfer(self, qualname: str,
-                  state: Dict[str, FrozenSet[EscapingRaise]]
-                  ) -> FrozenSet[EscapingRaise]:
-        result: Set[EscapingRaise] = set(
-            self._local.get(qualname, frozenset()))
-        for line, callee in self._edges.get(qualname, ()):
-            for escape in state.get(callee, frozenset()):
-                if not self._absorbed(qualname, escape.exc_type, line):
-                    result.add(escape)
-        return frozenset(result)
-
-    def _fixpoint(self) -> Dict[str, FrozenSet[EscapingRaise]]:
-        names = sorted(set(self._edges) | set(self._local))
-        state: Dict[str, FrozenSet[EscapingRaise]] = {
-            name: frozenset() for name in names}
-        changed = True
-        while changed:
-            changed = False
-            for name in names:
-                updated = self._transfer(name, state)
-                if updated != state[name]:
-                    state[name] = updated
-                    changed = True
-        return state
+    def _crosses(self, caller: str, edge: CallEdge,
+                 escape: EscapingRaise) -> bool:
+        """Whether ``escape`` leaves its callee into ``caller`` at ``edge``:
+        uniquely resolved calls only, minus what the call site absorbs."""
+        return edge.unique and \
+            not self.absorbed_at(caller, escape.exc_type, edge.line)
 
     # -- queries -------------------------------------------------------------
 
@@ -278,31 +234,41 @@ class ErrorFlow:
         not absorb it — every returned chain is a genuine propagation
         path, not merely a shortest call path.
         """
-        if root == escape.origin and escape in self._local.get(
-                root, frozenset()):
+        if root == escape.origin and escape in self._local.get(root, ()):
             return [root]
-        parents: Dict[str, str] = {root: ""}
-        frontier = [root]
-        while frontier:
-            next_frontier: List[str] = []
-            for qualname in frontier:
-                for line, callee in self._edges.get(qualname, ()):
-                    if callee in parents:
-                        continue
-                    if escape not in self._escaping.get(callee, frozenset()):
-                        continue
-                    if self._absorbed(qualname, escape.exc_type, line):
-                        continue
-                    parents[callee] = qualname
-                    if callee == escape.origin:
-                        chain = [callee]
-                        while parents[chain[-1]]:
-                            chain.append(parents[chain[-1]])
-                        return list(reversed(chain))
-                    next_frontier.append(callee)
-            frontier = next_frontier
-        return [root, escape.origin]
+        parents = bfs([root], lambda caller: (
+            edge.callee for edge in self._edges.get(caller, ())
+            if escape in self.escaping(edge.callee) and
+            self._crosses(caller, edge, escape)), goal=escape.origin)
+        if parents.get(escape.origin) is None:
+            return [root, escape.origin]
+        return path_to(parents, escape.origin)
 
-    def absorbed_at(self, qualname: str, exc_type: str, line: int) -> bool:
-        """Public wrapper for rule code: is the type caught at a site?"""
-        return self._absorbed(qualname, exc_type, line)
+    def first_escaping_raise(self, qualname: str, after: int,
+                             before: Optional[int] = None
+                             ) -> Optional[EscapingRaise]:
+        """The first raise of ``qualname`` strictly between lines
+        ``after`` and ``before`` that leaves the function uncaught."""
+        return next((escape for escape in self._local.get(qualname, ())
+                     if _between(escape.site.line, after, before)), None)
+
+    def first_escaping_call(self, qualname: str, after: int,
+                            before: Optional[int] = None
+                            ) -> Optional[Tuple[CallEdge, EscapingRaise]]:
+        """The first call of ``qualname`` strictly between lines ``after``
+        and ``before`` (in line order) through which an escape of its
+        callee leaves the caller, with that escape (by type, then line)."""
+        for edge in sorted(self._edges.get(qualname, ()),
+                           key=lambda e: e.line):
+            if not edge.unique or not _between(edge.line, after, before):
+                continue
+            for escape in sorted(self.escaping(edge.callee),
+                                 key=lambda e: (e.exc_type, e.site.line)):
+                if not self.absorbed_at(qualname, escape.exc_type,
+                                        edge.line):
+                    return edge, escape
+        return None
+
+
+def _between(line: int, after: int, before: Optional[int]) -> bool:
+    return after < line and (before is None or line < before)

@@ -14,6 +14,11 @@ against facts **all** candidates agree on; a disagreement means the name is
 ambiguous and the site is skipped rather than guessed at.  That keeps the
 interprocedural rules quiet exactly where static name resolution would be
 dishonest.
+
+Resolution happens once, here: every call site becomes one
+:class:`~repro.lint.project.solver.CallEdge` per candidate, in call
+order, marked ``unique`` when the name has exactly one definition.  The
+effect, error-flow, twin and ERR04 closures all walk these edges.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.project.effects import EffectPropagator
 from repro.lint.project.errflow import ErrorFlow
+from repro.lint.project.solver import CallEdge
 from repro.lint.project.summary import (
     CallSite, DataclassInfo, FunctionInfo, ModuleSummary)
 from repro.lint.project.twin import TwinAnalysis
@@ -80,6 +86,19 @@ class ProjectModel:
                 self.dataclasses.append((summary.path, dc_info))
             if not test:
                 self.src_attr_reads |= summary.attr_reads
+        # Caller qualname -> its resolved call edges, in call order (a
+        # qualname defined twice keeps its last definition, as above).
+        self.edges: Dict[str, Tuple[CallEdge, ...]] = {}
+        for qualname, info in self.functions_by_qualname.items():
+            edges: List[CallEdge] = []
+            for call in info.calls:
+                candidates = self.resolve(call.name)
+                edges.extend(
+                    CallEdge(line=call.line, name=call.name,
+                             receiver=call.receiver, callee=callee.qualname,
+                             unique=len(candidates) == 1)
+                    for callee in candidates)
+            self.edges[qualname] = tuple(edges)
 
     # ---- lookups ---------------------------------------------------------
 
@@ -95,6 +114,11 @@ class ProjectModel:
         if name in self._UNRESOLVABLE:
             return []
         return self.functions_by_name.get(name, [])
+
+    def resolve_unique(self, name: str) -> Optional[FunctionInfo]:
+        """The definition of ``name`` iff exactly one exists, else None."""
+        candidates = self.resolve(name)
+        return candidates[0] if len(candidates) == 1 else None
 
     def effects(self) -> EffectPropagator:
         """The transitive effect closure, built once per model on demand."""
@@ -161,14 +185,8 @@ class ProjectModel:
 
     def call_graph(self) -> Dict[str, Set[str]]:
         """Name-resolved edges: caller qualname -> set of callee qualnames."""
-        edges: Dict[str, Set[str]] = {}
-        for summary in self.summaries:
-            for info in summary.functions:
-                targets = edges.setdefault(info.qualname, set())
-                for call in info.calls:
-                    for callee in self.resolve(call.name):
-                        targets.add(callee.qualname)
-        return edges
+        return {caller: {edge.callee for edge in edges}
+                for caller, edges in self.edges.items()}
 
     def callers_of(self, bare_name: str) -> List[Tuple[FunctionInfo, CallSite]]:
         """Every (caller, call site) pair invoking ``bare_name``."""

@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.lint.project.dimensions import (
     UNKNOWN, CallObservation, FunctionAnalyzer, dim_of_name, dotted_name)
 from repro.lint.project.effects import ModuleEffects, extract_module_effects
-from repro.lint.project.source import line_text, source_repr
+from repro.lint.project.source import is_suppressed, line_text, source_repr
 from repro.lint.project.twin import ModuleTwinFacts, extract_module_twin
 
 #: Bump when the summary layout changes so cached pickles are invalidated
@@ -114,10 +114,7 @@ class ModuleSummary:
     twin: Optional[ModuleTwinFacts] = None
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
-        rules = self.suppressions.get(line)
-        if rules is None:
-            return False
-        return rule_id.upper() in rules or "ALL" in rules
+        return is_suppressed(self.suppressions, rule_id, line)
 
 
 _DATACLASS_NAMES = ("dataclass",)

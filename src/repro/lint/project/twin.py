@@ -44,16 +44,17 @@ import ast
 import re
 from dataclasses import dataclass, field
 from typing import (
-    Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple)
+    Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set,
+    Tuple)
 
 from repro.lint.project.dimensions import dotted_name
-from repro.lint.project.source import source_segment
+from repro.lint.project.solver import CallEdge, bfs, path_to
+from repro.lint.project.source import read_pragmas, source_segment
 
 #: Bump when the twin-facts layout changes; folded into the cache key so
 #: stale pickled summaries can never feed the drift rules.
 TWIN_SCHEMA = 1
 
-_EXEMPT_RE = re.compile(r"#\s*mapglint:\s*twin-exempt=([A-Za-z0-9_,\s]+)")
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 #: |value| considered structural rather than tuning (loop steps, parity,
@@ -245,24 +246,11 @@ def _function_twin_facts(qualname: str, func: ast.AST,
     )
 
 
-def parse_twin_exemptions(source: str) -> Tuple[Tuple[str, int], ...]:
-    """``# mapglint: twin-exempt=name[,name...]`` pragmas of a module."""
-    found: List[Tuple[str, int]] = []
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = _EXEMPT_RE.search(line)
-        if match:
-            for part in match.group(1).split(","):
-                part = part.strip()
-                if part:
-                    found.append((part, lineno))
-    return tuple(found)
-
-
 def extract_module_twin(path: str, source: str,
                         tree: ast.Module) -> ModuleTwinFacts:
     """Build the twin footprint of one parsed module (phase 1)."""
     norm = path.replace("\\", "/")
-    facts = ModuleTwinFacts(exemptions=parse_twin_exemptions(source))
+    facts = ModuleTwinFacts(exemptions=read_pragmas(source).twin_exempt)
 
     # Mirror extract_summary's walk so qualnames line up with FunctionInfo:
     # nested defs get their own entries under the same class name.
@@ -409,36 +397,17 @@ class TwinAnalysis:
     def _closure(self, roots: Iterable[str],
                  cut_delegation: bool) -> Dict[str, Optional[str]]:
         """BFS over resolved call edges; maps member -> BFS parent."""
-        model = self._model
-        parents: Dict[str, Optional[str]] = {}
-        queue: List[str] = []
-        for root in sorted(roots):
-            if root not in parents:
-                parents[root] = None
-                queue.append(root)
-        while queue:
-            current = queue.pop(0)
-            info = model.functions_by_qualname.get(current)  # type: ignore
-            if info is None:
-                continue
-            for call in info.calls:
-                if cut_delegation and _is_delegation_receiver(call.receiver):
-                    continue
-                for candidate in model.resolve(call.name):  # type: ignore
-                    if candidate.qualname not in parents:
-                        parents[candidate.qualname] = current
-                        queue.append(candidate.qualname)
-        return parents
+        edges: Dict[str, Tuple[CallEdge, ...]] = \
+            self._model.edges  # type: ignore[attr-defined]
+        return bfs(sorted(roots), lambda caller: (
+            edge.callee for edge in edges.get(caller, ())
+            if not (cut_delegation and
+                    _is_delegation_receiver(edge.receiver))))
 
     def chain(self, qualname: str,
               parents: Dict[str, Optional[str]]) -> List[str]:
         """Root-to-``qualname`` path through the BFS parent pointers."""
-        path: List[str] = []
-        cursor: Optional[str] = qualname
-        while cursor is not None and cursor not in path:
-            path.append(cursor)
-            cursor = parents.get(cursor)
-        return list(reversed(path))
+        return path_to(parents, qualname)
 
     def describe_chain(self, qualname: str,
                        parents: Dict[str, Optional[str]]) -> str:
@@ -480,14 +449,23 @@ class TwinAnalysis:
 
     # -- fast-engine aggregates --------------------------------------------
 
+    def _facts_in(self, qualnames: Iterable[str],
+                  fastsim: Optional[bool] = None
+                  ) -> Iterator[Tuple[str, FunctionTwinFacts]]:
+        """``(qualname, facts)`` of the members that have facts; with
+        ``fastsim`` set, only members inside (True) or outside (False)
+        the fast engine's package."""
+        for qualname in qualnames:
+            facts = self._facts.get(qualname)
+            if facts is not None and fastsim in (
+                    None, is_fastsim_path(self.module_of(qualname))):
+                yield qualname, facts
+
     def fast_attr_reads(self) -> FrozenSet[str]:
         """Every attribute name read anywhere in the fast closure."""
-        reads: Set[str] = set()
-        for qualname in self.fast_functions:
-            facts = self._facts.get(qualname)
-            if facts is not None:
-                reads.update(read.attr for read in facts.reads)
-        return frozenset(reads)
+        return frozenset(read.attr
+                         for _, facts in self._facts_in(self.fast_functions)
+                         for read in facts.reads)
 
     def fastsim_names(self) -> FrozenSet[str]:
         """Identifier words in string literals of fastsim-module functions.
@@ -497,57 +475,37 @@ class TwinAnalysis:
         the kernel itself spells it out (e.g. a fallback reason string),
         not when some shared helper happens to mention it.
         """
-        names: Set[str] = set()
-        for qualname in self.fast_functions:
-            if not is_fastsim_path(self.module_of(qualname)):
-                continue
-            facts = self._facts.get(qualname)
-            if facts is not None:
-                names.update(facts.names)
-        return frozenset(names)
-
-    def _fast_reads_by(self, predicate) -> FrozenSet[str]:
-        found: Set[str] = set()
-        for qualname in self.fast_functions:
-            facts = self._facts.get(qualname)
-            if facts is None:
-                continue
-            found.update(read.attr for read in facts.reads
-                         if predicate(read))
-        return frozenset(found)
+        return frozenset(name for _, facts in
+                         self._facts_in(self.fast_functions, fastsim=True)
+                         for name in facts.names)
 
     def fast_ledger_tags(self) -> FrozenSet[str]:
         """PowerState members the fast closure touches (flush writes)."""
-        return self._fast_reads_by(_is_powerstate_read)
+        return frozenset(read.attr
+                         for _, facts in self._facts_in(self.fast_functions)
+                         for read in facts.reads if _is_powerstate_read(read))
 
     def fast_counter_keys(self) -> FrozenSet[str]:
-        keys: Set[str] = set()
-        for qualname in self.fast_functions:
-            facts = self._facts.get(qualname)
-            if facts is not None:
-                keys.update(key for key, _ in facts.counter_keys)
-        return frozenset(keys)
+        return frozenset(key
+                         for _, facts in self._facts_in(self.fast_functions)
+                         for key, _ in facts.counter_keys)
 
     def fast_result_fields(self) -> FrozenSet[str]:
-        fields: Set[str] = set()
-        for qualname in self.fast_functions:
-            facts = self._facts.get(qualname)
-            if facts is not None:
-                fields.update(name for name, _ in facts.result_fields)
-        return frozenset(fields)
+        return frozenset(name
+                         for _, facts in self._facts_in(self.fast_functions)
+                         for name, _ in facts.result_fields)
 
-    def fastsim_constants(self) -> Dict[str, Tuple[str, TwinConst]]:
-        """Value key -> (qualname, literal) over fastsim-module functions."""
+    def _constants(self, qualnames: Iterable[str], fastsim: bool
+                   ) -> Dict[str, Tuple[str, TwinConst]]:
         constants: Dict[str, Tuple[str, TwinConst]] = {}
-        for qualname in sorted(self.fast_functions):
-            if not is_fastsim_path(self.module_of(qualname)):
-                continue
-            facts = self._facts.get(qualname)
-            if facts is None:
-                continue
+        for qualname, facts in self._facts_in(sorted(qualnames), fastsim):
             for const in facts.constants:
                 constants.setdefault(const.key, (qualname, const))
         return constants
+
+    def fastsim_constants(self) -> Dict[str, Tuple[str, TwinConst]]:
+        """Value key -> (qualname, literal) over fastsim-module functions."""
+        return self._constants(self.fast_functions, fastsim=True)
 
     def oracle_constants(self) -> Dict[str, Tuple[str, TwinConst]]:
         """Value key -> (qualname, literal) over the oracle's own source.
@@ -558,16 +516,7 @@ class TwinAnalysis:
         controller), so this aggregates over the full oracle closure
         minus fastsim modules — not over the exclusive set.
         """
-        constants: Dict[str, Tuple[str, TwinConst]] = {}
-        for qualname in sorted(self.oracle_functions):
-            if is_fastsim_path(self.module_of(qualname)):
-                continue
-            facts = self._facts.get(qualname)
-            if facts is None:
-                continue
-            for const in facts.constants:
-                constants.setdefault(const.key, (qualname, const))
-        return constants
+        return self._constants(self.oracle_functions, fastsim=False)
 
     def shared_constant_defs(self) -> Dict[str, Tuple[str, TwinConstDef]]:
         """Value key -> (module path, def) over non-fastsim module-level

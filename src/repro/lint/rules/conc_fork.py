@@ -57,11 +57,7 @@ class SpawnHygieneRule(ProjectRule):
             if root.kind != "pool":
                 continue
             seen = set()
-            reached = sorted(
-                propagator.transitive(root.worker_qualname),
-                key=lambda r: (r.origin, r.effect.kind, r.effect.line,
-                               r.effect.col))
-            for item in reached:
+            for item in propagator.reached(root.worker_qualname):
                 effect = item.effect
                 origin_path = item.origin.split("::", 1)[0]
                 if effect.kind == THREAD:

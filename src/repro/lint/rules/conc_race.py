@@ -90,11 +90,7 @@ class SharedStateRaceRule(ProjectRule):
                 # Pool workers' global writes are PURE01 findings already.
                 hazard_kinds.add(GLOBAL_WRITE)
             seen = set()
-            reached = sorted(
-                propagator.transitive(root.worker_qualname),
-                key=lambda r: (r.origin, r.effect.kind, r.effect.line,
-                               r.effect.col))
-            for item in reached:
+            for item in propagator.reached(root.worker_qualname):
                 effect = item.effect
                 if effect.kind not in hazard_kinds or effect.locks_held:
                     continue

@@ -114,15 +114,9 @@ class HandlerHygieneRule(ProjectRule):
                         start <= site.line <= end and \
                         hierarchy.is_subtype(site.exc_type, "ReproError"):
                     reaching.add(site.exc_type)
-        info = model.functions_by_qualname.get(qualname)
-        if info is not None:
-            for call in info.calls:
-                if not (start <= call.line <= end):
-                    continue
-                candidates = model.resolve(call.name)
-                if len(candidates) != 1:
-                    continue
-                for escape in flow.escaping(candidates[0].qualname):
+        for edge in model.edges.get(qualname, ()):
+            if edge.unique and start <= edge.line <= end:
+                for escape in flow.escaping(edge.callee):
                     if hierarchy.is_subtype(escape.exc_type, "ReproError"):
                         reaching.add(escape.exc_type)
         if len(reaching) != 1:

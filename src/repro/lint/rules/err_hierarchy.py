@@ -27,13 +27,13 @@ applies to its digest set).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict
 
 from repro.lint.base import ProjectRule, register_project_rule
 from repro.lint.findings import Severity
 from repro.lint.project.concurrency import iter_module_effects
 from repro.lint.project.graph import ProjectModel, in_repro, is_test_path
+from repro.lint.project.solver import bfs
 
 #: Builtin types whose bare raise breaks the errors.py contract.
 _BARE_BUILTINS = frozenset({
@@ -101,27 +101,21 @@ class HierarchyDisciplineRule(ProjectRule):
         """qualname -> public root name, for all public-reachable functions.
 
         Multi-source BFS from every public function in non-test,
-        non-lint repro source over the resolved call graph; the recorded
-        root is the first public function that reaches each node (its
-        bare display name, for the finding message).
+        non-lint repro source over the resolved call graph (callees in
+        sorted order); the recorded root is the first public function
+        that reaches each node (its bare display name, for the finding
+        message).
         """
-        edges = model.call_graph()
+        roots = [info.qualname
+                 for summary in model.summaries
+                 if not is_test_path(summary.path) and
+                 in_repro(summary.path) and not _in_lint(summary.path)
+                 for info in summary.functions
+                 if info.name != "<module>" and _is_public(info.qualname)]
+        parents = bfs(roots, lambda caller: sorted(
+            {edge.callee for edge in model.edges.get(caller, ())}))
         reachable: Dict[str, str] = {}
-        queue: "deque[str]" = deque()
-        for summary in model.summaries:
-            if is_test_path(summary.path) or not in_repro(summary.path) \
-                    or _in_lint(summary.path):
-                continue
-            for info in summary.functions:
-                if info.name != "<module>" and _is_public(info.qualname):
-                    if info.qualname not in reachable:
-                        reachable[info.qualname] = \
-                            info.qualname.split("::", 1)[-1]
-                        queue.append(info.qualname)
-        while queue:
-            current = queue.popleft()
-            for callee in sorted(edges.get(current, ())):
-                if callee not in reachable:
-                    reachable[callee] = reachable[current]
-                    queue.append(callee)
+        for qualname, parent in parents.items():  # parents come first
+            reachable[qualname] = qualname.split("::", 1)[-1] \
+                if parent is None else reachable[parent]
         return reachable

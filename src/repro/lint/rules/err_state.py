@@ -21,17 +21,13 @@ mutation+call in ``try``/``finally`` with a rollback.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.lint.base import ProjectRule, register_project_rule
 from repro.lint.findings import Severity
 from repro.lint.project.concurrency import iter_module_effects
 from repro.lint.project.effects import (
-    GLOBAL_WRITE, GUARDED_WRITE, SHARED_WRITE, Effect, ModuleEffects,
-    format_chain)
+    GLOBAL_WRITE, GUARDED_WRITE, SHARED_WRITE, Effect, format_chain)
 from repro.lint.project.errflow import ErrorFlow
 from repro.lint.project.graph import ProjectModel
-from repro.lint.project.summary import FunctionInfo
 
 _MUTATION_KINDS = frozenset({GLOBAL_WRITE, GUARDED_WRITE, SHARED_WRITE})
 
@@ -51,7 +47,6 @@ class ExceptionUnsafeMutationRule(ProjectRule):
         for summary, effects in iter_module_effects(model):
             protected = [span for span in effects.protected_spans]
             for info in effects.functions:
-                func_info = model.functions_by_qualname.get(info.qualname)
                 for effect in info.effects:
                     if effect.kind not in _MUTATION_KINDS:
                         continue
@@ -59,50 +54,34 @@ class ExceptionUnsafeMutationRule(ProjectRule):
                            span.start <= effect.line <= span.end
                            for span in protected):
                         continue
-                    self._check_site(model, flow, summary.path, effects,
-                                     info.qualname, func_info, effect)
+                    self._check_site(flow, summary.path, info.qualname,
+                                     effect)
 
-    def _check_site(self, model: ProjectModel, flow: ErrorFlow, path: str,
-                    effects: ModuleEffects, qualname: str,
-                    func_info: Optional[FunctionInfo],
+    def _check_site(self, flow: ErrorFlow, path: str, qualname: str,
                     effect: Effect) -> None:
         # A later local raise unwinds through the mutation directly.
-        for site in effects.raise_sites:
-            if site.in_function != qualname or site.is_reraise or \
-                    not site.exc_type or site.line <= effect.line:
-                continue
-            if flow.absorbed_at(qualname, site.exc_type, site.line):
-                continue
+        raised = flow.first_escaping_raise(qualname, after=effect.line)
+        if raised is not None:
             self.report(
                 path, effect.line, effect.col,
-                f"{effect.detail} and then raises {site.exc_type} at "
-                f"line {site.line} with no try/finally between — the "
-                f"unwind leaves '{effect.symbol}' half-updated; validate "
-                f"before mutating, or roll back in a finally",
+                f"{effect.detail} and then raises {raised.exc_type} at "
+                f"line {raised.site.line} with no try/finally between — "
+                f"the unwind leaves '{effect.symbol}' half-updated; "
+                f"validate before mutating, or roll back in a finally",
                 line_text=effect.line_text)
             return
-        if func_info is None:
-            return
         # A later call whose escaping set survives the enclosing handlers.
-        for call in sorted(func_info.calls, key=lambda c: c.line):
-            if call.line <= effect.line:
-                continue
-            candidates = model.resolve(call.name)
-            if len(candidates) != 1:
-                continue
-            callee = candidates[0].qualname
-            for escape in sorted(flow.escaping(callee),
-                                 key=lambda e: (e.exc_type, e.site.line)):
-                if flow.absorbed_at(qualname, escape.exc_type, call.line):
-                    continue
-                chain = format_chain(flow.chain(callee, escape))
-                self.report(
-                    path, effect.line, effect.col,
-                    f"{effect.detail} and then calls {call.name}() at "
-                    f"line {call.line}, which can raise "
-                    f"{escape.exc_type} (via {chain}) with no try/finally "
-                    f"between — the unwind leaves '{effect.symbol}' "
-                    f"half-updated; mutate last, or roll back in a "
-                    f"finally",
-                    line_text=effect.line_text)
-                return
+        found = flow.first_escaping_call(qualname, after=effect.line)
+        if found is None:
+            return
+        call, escape = found
+        chain = format_chain(flow.chain(call.callee, escape))
+        self.report(
+            path, effect.line, effect.col,
+            f"{effect.detail} and then calls {call.name}() at "
+            f"line {call.line}, which can raise "
+            f"{escape.exc_type} (via {chain}) with no try/finally "
+            f"between — the unwind leaves '{effect.symbol}' "
+            f"half-updated; mutate last, or roll back in a "
+            f"finally",
+            line_text=effect.line_text)

@@ -73,8 +73,7 @@ class ResourceLifecycleRule(ProjectRule):
                     continue
                 if site.close_in_finally:
                     continue
-                self._check_happy_path_close(model, flow, summary.path,
-                                             effects, site)
+                self._check_happy_path_close(flow, summary.path, site)
 
     @staticmethod
     def _func(site: ResourceSite) -> str:
@@ -84,55 +83,36 @@ class ResourceLifecycleRule(ProjectRule):
     def _named(site: ResourceSite) -> str:
         return f" '{site.var}'" if site.var else ""
 
-    def _check_happy_path_close(self, model: ProjectModel, flow: ErrorFlow,
-                                path: str, effects: "object",
+    def _check_happy_path_close(self, flow: ErrorFlow, path: str,
                                 site: ResourceSite) -> None:
         """The close exists outside a finally — does a raise skip it?"""
         qualname = site.in_function
         start, end = site.line, site.close_line
         # A local raise between acquisition and close, not absorbed there.
-        for raise_site in effects.raise_sites:  # type: ignore[attr-defined]
-            if raise_site.in_function != qualname or raise_site.is_reraise \
-                    or not raise_site.exc_type:
-                continue
-            if not (start < raise_site.line < end):
-                continue
-            if flow.absorbed_at(qualname, raise_site.exc_type,
-                                raise_site.line):
-                continue
+        raised = flow.first_escaping_raise(qualname, after=start, before=end)
+        if raised is not None:
             self.report(
                 path, site.line, site.col,
                 f"{site.api}() handle{self._named(site)} in "
                 f"'{self._func(site)}' is closed only on the happy path: "
-                f"the raise of {raise_site.exc_type} at line "
-                f"{raise_site.line} skips the close at line "
+                f"the raise of {raised.exc_type} at line "
+                f"{raised.site.line} skips the close at line "
                 f"{site.close_line}; move the close into a finally (or "
                 f"use 'with')",
                 line_text=site.line_text)
             return
         # A call between acquisition and close whose escapes survive.
-        info = model.functions_by_qualname.get(qualname)
-        if info is None:
+        found = flow.first_escaping_call(qualname, after=start, before=end)
+        if found is None:
             return
-        for call in sorted(info.calls, key=lambda c: c.line):
-            if not (start < call.line < end):
-                continue
-            candidates = model.resolve(call.name)
-            if len(candidates) != 1:
-                continue
-            callee = candidates[0].qualname
-            for escape in sorted(flow.escaping(callee),
-                                 key=lambda e: (e.exc_type, e.site.line)):
-                if flow.absorbed_at(qualname, escape.exc_type, call.line):
-                    continue
-                chain = format_chain(flow.chain(callee, escape))
-                self.report(
-                    path, site.line, site.col,
-                    f"{site.api}() handle{self._named(site)} in "
-                    f"'{self._func(site)}' is closed only on the happy "
-                    f"path: {call.name}() at line {call.line} can raise "
-                    f"{escape.exc_type} (via {chain}), skipping the close "
-                    f"at line {site.close_line}; move the close into a "
-                    f"finally (or use 'with')",
-                    line_text=site.line_text)
-                return
+        call, escape = found
+        chain = format_chain(flow.chain(call.callee, escape))
+        self.report(
+            path, site.line, site.col,
+            f"{site.api}() handle{self._named(site)} in "
+            f"'{self._func(site)}' is closed only on the happy "
+            f"path: {call.name}() at line {call.line} can raise "
+            f"{escape.exc_type} (via {chain}), skipping the close "
+            f"at line {site.close_line}; move the close into a "
+            f"finally (or use 'with')",
+            line_text=site.line_text)

@@ -53,17 +53,12 @@ class WorkerPurityRule(ProjectRule):
         # purity check needs a resolvable definition.
         if submission.worker_kind != "name":
             return
-        candidates = model.resolve(submission.worker_name)
-        if len(candidates) != 1:
+        worker = model.resolve_unique(submission.worker_name)
+        if worker is None:
             return  # unknown or ambiguous: skip rather than guess
-        worker = candidates[0]
         propagator = model.effects()
         seen = set()
-        reached = sorted(
-            propagator.transitive(worker.qualname),
-            key=lambda r: (r.origin, r.effect.kind, r.effect.line,
-                           r.effect.col))
-        for item in reached:
+        for item in propagator.reached(worker.qualname):
             effect = item.effect
             if effect.kind not in IMPURE_KINDS:
                 continue

@@ -18,7 +18,7 @@ import pytest
 
 from repro.config import PrefetcherConfig, SystemConfig
 from repro.core.crosscheck import crosscheck_engines, verify_engines
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.exec import JobSpec, SweepRunner
 from repro.fastsim import ColumnarTrace, FastSimulator, validate_engine
 from repro.sim.runner import run_workload, with_policy
@@ -332,6 +332,24 @@ class TestEngineContract:
         assert check.identical
         assert check.used_fast_path
         assert check.oracle_digest == check.fast_digest
+
+    def test_crosscheck_catches_a_diverging_kernel(self, monkeypatch):
+        # The oracle side must really run the oracle: a kernel that
+        # miscounts one penalty cycle is caught, not compared to itself.
+        real_run = FastSimulator.run
+
+        def off_by_one(self, trace):
+            result = real_run(self, trace)
+            return dataclasses.replace(
+                result, penalty_cycles=result.penalty_cycles + 1)
+
+        monkeypatch.setattr(FastSimulator, "run", off_by_one)
+        config = with_policy(SystemConfig(), "mapg")
+        check = crosscheck_engines(config, "mcf_like", 600, seed=2)
+        assert check.identical is False
+        assert "penalty_cycles" in check.diverging_fields
+        with pytest.raises(SimulationError, match="penalty_cycles"):
+            verify_engines(config, "mcf_like", 600, seed=2)
 
     def test_crosscheck_flags_fallback(self):
         # An MLP core (miss_window > 1) is outside the kernel's

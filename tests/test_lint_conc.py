@@ -15,7 +15,8 @@ from repro.lint.project import ProjectModel, extract_summary
 from repro.lint.project.concurrency import concurrent_roots, qualify_lock
 from repro.lint.project.effects import (
     GUARDED_WRITE, LOCK, SHARED_WRITE, THREAD, extract_module_effects,
-    is_lock_name, parse_guarded_pragmas)
+    is_lock_name)
+from repro.lint.project.source import read_pragmas
 from repro.lint.runner import lint_paths, run_project_rules
 
 
@@ -199,11 +200,11 @@ class TestConcurrencyExtraction:
         assert not is_lock_name("clock")  # a clock is not a lock
 
     def test_guarded_pragma_parsing(self):
-        pragmas = parse_guarded_pragmas(
+        pragmas = read_pragmas(
             "X = {}  # mapglint: guarded-by=_LOCK\n"
             "Y = {}\n"
             "Z = {}  # mapglint: guarded-by=self._lock\n")
-        assert pragmas == {1: "_LOCK", 3: "self._lock"}
+        assert pragmas.guarded_by == {1: "_LOCK", 3: "self._lock"}
 
     def test_concurrent_roots_resolve_workers(self):
         model = ProjectModel([summarize("repro/obs/daemon.py", """

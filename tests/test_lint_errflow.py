@@ -12,8 +12,8 @@ import textwrap
 
 from repro.lint.base import parse_suppressions
 from repro.lint.project import ProjectModel, extract_summary
-from repro.lint.project.effects import (
-    extract_module_effects, parse_error_boundaries)
+from repro.lint.project.effects import extract_module_effects
+from repro.lint.project.source import read_pragmas
 from repro.lint.runner import lint_paths, run_project_rules
 
 
@@ -129,7 +129,7 @@ class TestErrorFlowExtraction:
                 def store(self, key):
                     return None
         """)
-        assert parse_error_boundaries(source) == {3}
+        assert read_pragmas(source).error_boundary == {3}
         effects = effects_of("repro/exec/c.py", source)
         assert effects.error_boundaries == frozenset({
             "repro/exec/c.py::Cache.load"})

@@ -18,8 +18,8 @@ from pathlib import Path
 from repro.lint.base import parse_suppressions
 from repro.lint.fixes import fix_twin_constants
 from repro.lint.project import ProjectModel, extract_summary
-from repro.lint.project.twin import (
-    const_key, extract_module_twin, parse_twin_exemptions)
+from repro.lint.project.source import read_pragmas
+from repro.lint.project.twin import const_key, extract_module_twin
 from repro.lint.runner import lint_paths, run_project_rules
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -128,7 +128,7 @@ class TestTwinExtraction:
             # mapglint: twin-exempt=dependence_stalls, overlapped_misses
             reasons.append("miss_window > 1")  # mapglint: twin-exempt=hidden_misses
         """)
-        assert {name for name, _ in parse_twin_exemptions(source)} == \
+        assert {name for name, _ in read_pragmas(source).twin_exempt} == \
             {"dependence_stalls", "overlapped_misses", "hidden_misses"}
 
 
